@@ -1,13 +1,14 @@
-"""Build script: compiles the optional Cython kernels.
+"""Build script: compiles the optional C kernels from the committed
+src/compsigns/_kernels.c (generated by Cython from _kernels.pyx).
 
-If Cython or a C compiler is unavailable the build degrades gracefully and
-the package runs on the pure-Python kernels in compsigns._kernels_py.
+If no C compiler works the build degrades gracefully and the package
+runs on the pure-Python kernels in compsigns._kernels_py.
 """
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
-EXT_NAME = "compsigns._kernels"
+EXTENSION = Extension("compsigns._kernels", ["src/compsigns/_kernels.c"])
 
 
 class optional_build_ext(build_ext):
@@ -25,18 +26,8 @@ class optional_build_ext(build_ext):
 
     @staticmethod
     def _skip(exc):
-        print(f"WARNING: building {EXT_NAME} failed ({exc}); "
+        print(f"WARNING: building {EXTENSION.name} failed ({exc}); "
               "falling back to the pure-Python kernels.")
 
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension(EXT_NAME, ["src/compsigns/_kernels.pyx"])],
-        language_level="3",
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions, cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[EXTENSION], cmdclass={"build_ext": optional_build_ext})

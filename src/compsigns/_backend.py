@@ -1,38 +1,20 @@
 """Kernel backend selection.
 
-The compiled extension compsigns._kernels is preferred when it imported
-cleanly; otherwise the pure-Python twin is used.  Both expose the same
-functions with identical exact-integer semantics.
-
-Set COMPSIGNS_BACKEND=python to force the fallback, or =cython to insist
-on the extension (raising if it is missing).
+The compiled extension compsigns._kernels is used when it imports;
+otherwise the pure-Python twin is.  Both expose the same functions with
+identical exact-integer semantics.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-_choice = os.environ.get("COMPSIGNS_BACKEND", "").strip().lower()
-
-if _choice == "python":
-    _mod = _kernels_py
-    BACKEND = "python"
-elif _choice == "cython":
+try:
     from . import _kernels as _mod  # type: ignore[attr-defined]
 
     BACKEND = "cython"
-elif _choice:
-    raise ValueError(f"unknown COMPSIGNS_BACKEND {_choice!r} (use 'python' or 'cython')")
-else:
-    try:
-        from . import _kernels as _mod  # type: ignore[attr-defined]
+except ImportError:
+    from . import _kernels_py as _mod
 
-        BACKEND = "cython"
-    except ImportError:
-        _mod = _kernels_py
-        BACKEND = "python"
+    BACKEND = "python"
 
 conv = _mod.conv
 conv_trunc = _mod.conv_trunc

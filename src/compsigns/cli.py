@@ -48,16 +48,9 @@ from .nonperiodic import (
 from .poly import IntPoly
 from .sets import SetSpec, SpecError, parse_spec
 from .signs import check_range_set_pattern, detect_period, sign_word
-from .sums import ROUTES, IntegralityError, grid_csv, sk_direct, sk_fast, sk_via_conv, sk_via_q
+from .sums import ROUTES, IntegralityError, grid_csv, sk_fast
 
 SCHEMA = "compsigns/1"
-
-_ROUTE_FNS = {
-    "direct": sk_direct,
-    "fast": sk_fast,
-    "q": sk_via_q,
-    "conv": sk_via_conv,
-}
 
 
 class _UsageError(Exception):
@@ -209,9 +202,9 @@ def _cmd_polys(args):
 def _cmd_sk(args):
     spec = _spec(args.A, args.N)
     if args.route != "all":
-        grid = _ROUTE_FNS[args.route](spec, args.K, args.N)
+        grid = ROUTES[args.route](spec, args.K, args.N)
         return 0, [("grid.csv", grid_csv(grid))]
-    grids = {name: fn(spec, args.K, args.N) for name, fn in _ROUTE_FNS.items()}
+    grids = {name: fn(spec, args.K, args.N) for name, fn in ROUTES.items()}
     names = sorted(grids)
     first = grids[names[0]]
     for k in range(args.K + 1):

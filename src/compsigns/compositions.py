@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import sets
 from ._backend import comp_poly_rows, conv_trunc, delta_eval_table, eval_table
 from .poly import IntPoly, RatSeries, delta_op, series_inverse, series_mul
 from .sets import SetSpec, SpecError
@@ -83,20 +82,10 @@ def partition_counts(spec: SetSpec, upto: int) -> list[int]:
     if upto < 0:
         raise ValueError("upto must be non-negative")
     table = [1] + [0] * upto
-    for a in _members_capped(spec, upto):
+    for a in spec.members_capped(upto):
         for n in range(a, upto + 1):
             table[n] += table[n - a]
     return table
-
-
-def _members_capped(spec: SetSpec, upper: int) -> list[int]:
-    """Members <= upper; finite kinds bypass the query horizon (their full
-    element list is known), infinite kinds stay horizon-gated."""
-    if spec.kind == sets.EXPLICIT:
-        return [a for a in spec.data if a <= upper]
-    if spec.kind == sets.RANGE:
-        return list(range(1, min(spec.data[0], upper) + 1))
-    return spec.members_up_to(upper)
 
 
 # -- q-series ----------------------------------------------------------------
@@ -131,7 +120,7 @@ def q_series(spec: SetSpec, order: int) -> QSeries:
         raise SpecError("q-series needs a nonempty set")
     if order < 0:
         raise ValueError("order must be non-negative")
-    members = _members_capped(spec, order + m)
+    members = spec.members_capped(order + m)
     num = [Fraction(0)] * (order + 1)
     den = [Fraction(0)] * (order + 1)
     for a in members:

@@ -26,6 +26,7 @@ recurrences, which no amount of scanning settles.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -194,6 +195,10 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1, mask_budget: int = 22) -> E
         raise ValueError(f"n={n} exceeds the 2^{mask_budget}-subset budget")
     if horizon < 4 * n:
         raise ValueError(f"horizon {horizon} too short; need >= {4 * n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # a forked pool starts every worker at once; more than the CPUs buy nothing
+    jobs = min(jobs, os.cpu_count() or 1)
     total = 1 << n
     if jobs > 1 and total >= 256:
         chunk = (total + jobs - 1) // jobs

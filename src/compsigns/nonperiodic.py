@@ -46,7 +46,7 @@ from .poly import (
     totient_candidates,
     yun_squarefree,
 )
-from .sets import RANGE, SetSpec, SpecError
+from .sets import SetSpec, SpecError
 
 NOT_EVENTUALLY_PERIODIC = "NotEventuallyPeriodic"
 INCONCLUSIVE = "Inconclusive"
@@ -199,10 +199,7 @@ def denom_poly(spec: SetSpec) -> IntPoly:
     coefficient n equal to S_0(n).  Finite sets only."""
     if not spec.is_finite:
         raise SpecError("denominator polynomial needs a finite part set")
-    if spec.kind == RANGE:
-        members = list(range(1, spec.data[0] + 1))
-    else:
-        members = list(spec.data)
+    members = spec.members_capped()
     top = max(members, default=0)
     coeffs = [0] * (top + 1)
     coeffs[0] = 1
@@ -444,21 +441,6 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
                                     tuple(notes))
 
 
-def _phi(n: int) -> int:
-    out = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 def ratio_poly(p: IntPoly) -> IntPoly:
     """R(x) = Res_y(p(y), p(x*y)): vanishes exactly at ratios r/s of roots
     of p (R(1) = 0 always, from self-ratios)."""
@@ -478,8 +460,10 @@ def _exact_unity_screen(p: IntPoly, degree_bound: int) -> ExactUnityTest:
     ratio = ratio_poly(p)
     checked = 0
     divisor = None
-    for m in totient_candidates(degree_bound):
-        if m < 2 or _phi(m) > ratio.degree:
+    # the M-th cyclotomic has degree totient(M), so it can divide R only
+    # when totient(M) <= deg R as well
+    for m in totient_candidates(min(degree_bound, ratio.degree)):
+        if m < 2:
             continue
         checked += 1
         if monic_divides(cyclotomic(m), ratio):

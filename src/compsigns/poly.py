@@ -20,8 +20,6 @@ from math import gcd as _int_gcd
 
 from ._backend import conv, conv_trunc
 
-RatNum = Fraction
-
 
 def _trim(coeffs) -> tuple:
     coeffs = list(coeffs)
@@ -88,14 +86,6 @@ class IntPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a + b
-
-
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a * b
 
 
 def format_poly(p: IntPoly, var: str = "t") -> str:
@@ -213,12 +203,19 @@ def _frac_to_intpoly(a: list[Fraction]) -> IntPoly:
     return primitive(IntPoly(tuple(int(c * den) for c in a)))
 
 
+def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd over the rationals by Euclid's algorithm; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _frac_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient; gcd(0, 0) = 0."""
-    fa, fb = _frac_coeffs(a), _frac_coeffs(b)
-    while fb:
-        fa, fb = fb, _frac_divmod(fa, fb)[1]
-    return _frac_to_intpoly(fa)
+    return _frac_to_intpoly(_frac_gcd(_frac_coeffs(a), _frac_coeffs(b)))
 
 
 def yun_squarefree(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -236,16 +233,8 @@ def yun_squarefree(p: IntPoly) -> list[tuple[IntPoly, int]]:
     def deriv(f):
         return [i * c for i, c in enumerate(f) if i]
 
-    def gcd_f(x, y):
-        while y:
-            x, y = y, _frac_divmod(x, y)[1]
-        if x:
-            lead = x[-1]
-            x = [c / lead for c in x]
-        return x
-
     out = []
-    g = gcd_f(list(fp), deriv(fp))
+    g = _frac_gcd(fp, deriv(fp))
     w = _frac_divmod(fp, g)[0]
     y = _frac_divmod(deriv(fp), g)[0]
     i = 1
@@ -255,7 +244,7 @@ def yun_squarefree(p: IntPoly) -> list[tuple[IntPoly, int]]:
         z = [(y[k] if k < len(y) else Fraction(0))
              - (dw[k] if k < len(dw) else Fraction(0)) for k in range(m)]
         z = _frac_trim(z)
-        gi = gcd_f(list(w), list(z))
+        gi = _frac_gcd(w, z)
         if len(gi) > 1:
             out.append((_frac_to_intpoly(gi), i))
         w = _frac_divmod(w, gi)[0]

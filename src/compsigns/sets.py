@@ -122,6 +122,21 @@ class SetSpec:
             return [x for x in range(1, n + 1) if x not in excluded]
         return self._repunit_members(n)
 
+    def members_capped(self, upper: int | None = None) -> list[int]:
+        """Members <= upper, ascending; every member when upper is None.
+
+        Finite kinds know their whole element list and bypass the query
+        horizon; infinite kinds stay horizon-gated and need an upper cap.
+        """
+        if self.kind == EXPLICIT:
+            return [a for a in self.data if upper is None or a <= upper]
+        if self.kind == RANGE:
+            top = self.data[0] if upper is None else min(self.data[0], upper)
+            return list(range(1, top + 1))
+        if upper is None:
+            raise SpecError(f"{self.render()} is infinite; its members need a cap")
+        return self.members_up_to(upper)
+
     def min_element(self) -> int | None:
         """Smallest element, or None for the empty set."""
         if self.kind == EXPLICIT:

@@ -28,8 +28,6 @@ from .compositions import comp_polys, q_series
 from .poly import delta_op
 from .sets import SetSpec
 
-ROUTE_NAMES = ("direct", "fast", "q", "conv")
-
 
 class IntegralityError(ValueError):
     """A rational route produced a non-integer value (always a bug)."""

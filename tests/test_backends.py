@@ -1,32 +1,67 @@
 """Parity tests between the compiled kernels and the pure-Python twins.
 
-Every kernel must give bit-identical results on both backends; the
-compiled module is an optimization, never a semantic fork.
+The extension is built by setup.py, as an install builds it, into a
+temporary directory and loaded from there.  Every kernel must give
+bit-identical results on both backends; the compiled module is an
+optimization, never a semantic fork.
 """
 
+import importlib.util
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from compsigns import _kernels_py as pyk
 
-cyk = pytest.importorskip("compsigns._kernels",
-                          reason="compiled kernels unavailable")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "compsigns"
 
 KERNELS = ["conv", "conv_trunc", "comp_poly_rows", "eval_table",
            "delta_eval_table", "sk_rows", "series_inv_int", "first_violation"]
 
 
-def test_same_surface():
+def _have_c_compiler() -> bool:
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return bool(cc) and shutil.which(cc[0]) is not None
+
+
+@pytest.fixture(scope="module")
+def built_so(tmp_path_factory):
+    """Path of the extension that `setup.py build_ext` builds."""
+    if not _have_c_compiler():
+        pytest.skip("no C compiler")
+    out = tmp_path_factory.mktemp("build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True, text=True)
+    so = out / "lib" / "compsigns" / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert proc.returncode == 0 and so.is_file(), proc.stdout + proc.stderr
+    return so
+
+
+@pytest.fixture(scope="module")
+def cyk(built_so):
+    spec = importlib.util.spec_from_file_location("compsigns._kernels", built_so)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_same_surface(cyk):
     for name in KERNELS:
         assert callable(getattr(cyk, name))
         assert callable(getattr(pyk, name))
 
 
-def test_conv_parity():
+def test_conv_parity(cyk):
     rng = random.Random(501)
     for _ in range(40):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
@@ -36,7 +71,7 @@ def test_conv_parity():
         assert cyk.conv_trunc(a, b, order) == pyk.conv_trunc(a, b, order)
 
 
-def test_table_parity():
+def test_table_parity(cyk):
     rng = random.Random(502)
     for _ in range(25):
         members = sorted(rng.sample(range(1, 12), rng.randint(0, 5)))
@@ -50,7 +85,7 @@ def test_table_parity():
                     == pyk.delta_eval_table(members, n_max, t, ev_p))
 
 
-def test_sk_rows_parity():
+def test_sk_rows_parity(cyk):
     rng = random.Random(503)
     for _ in range(15):
         members = sorted(rng.sample(range(1, 10), rng.randint(1, 4)))
@@ -59,7 +94,7 @@ def test_sk_rows_parity():
         assert rows_c == rows_p
 
 
-def test_series_and_violation_parity():
+def test_series_and_violation_parity(cyk):
     rng = random.Random(504)
     for _ in range(25):
         coeffs = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 8))]
@@ -70,7 +105,7 @@ def test_series_and_violation_parity():
                 == pyk.first_violation(members, 60))
 
 
-def test_big_integer_parity():
+def test_big_integer_parity(cyk):
     # counts grow fast; make sure the compiled path stays on exact ints
     members = [1, 2, 3]
     big_c = cyk.eval_table(members, 300, 1)
@@ -79,23 +114,24 @@ def test_big_integer_parity():
     assert big_c[300] > 10**75  # growth rate ~1.839^n, far past float range
 
 
-def _backend_of(env_value):
-    env = dict(os.environ)
-    env.pop("COMPSIGNS_BACKEND", None)
-    if env_value is not None:
-        env["COMPSIGNS_BACKEND"] = env_value
+def _backend_in_copy(root: Path, so: Path | None) -> str:
+    """BACKEND reported by a fresh process importing a copy of the package
+    placed under root, with the compiled extension added when so is given."""
+    pkg = root / "compsigns"
+    shutil.copytree(PACKAGE, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.c"))
+    if so is not None:
+        shutil.copy(so, pkg / so.name)
     proc = subprocess.run(
-        [sys.executable, "-c", "from compsigns import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout.strip(), proc.stderr
+        [sys.executable, "-c",
+         "import compsigns; print(compsigns.BACKEND, compsigns.__file__)"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True, text=True, check=True)
+    backend, path = proc.stdout.split()
+    assert Path(path).resolve().parent == pkg.resolve()
+    return backend
 
 
-def test_env_override():
-    code, backend, _ = _backend_of(None)
-    assert code == 0 and backend == "cython"
-    code, backend, _ = _backend_of("python")
-    assert code == 0 and backend == "python"
-    code, backend, _ = _backend_of("cython")
-    assert code == 0 and backend == "cython"
-    code, _, err = _backend_of("fortran")
-    assert code != 0 and "fortran" in err
+def test_backend_selection(tmp_path, built_so):
+    assert _backend_in_copy(tmp_path / "with_so", built_so) == "cython"
+    assert _backend_in_copy(tmp_path / "without_so", None) == "python"

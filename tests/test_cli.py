@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from compsigns import cli
+from compsigns import sums
 from compsigns.cli import load_config, main
 from compsigns.sums import SkGrid, sk_fast
 
@@ -56,7 +56,7 @@ def test_sk_route_disagreement_exits_1(capsys, monkeypatch):
         rows[0][2] += 1
         return SkGrid(grid.set, grid.K, grid.N, tuple(tuple(r) for r in rows))
 
-    monkeypatch.setitem(cli._ROUTE_FNS, "fast", tampered)
+    monkeypatch.setitem(sums.ROUTES, "fast", tampered)
     code, out = run(capsys, "sk", "-A", "{1,2}", "-K", "1", "-N", "6",
                     "--route", "all")
     assert code == 1
@@ -155,6 +155,9 @@ def test_enumerate_output(capsys):
     assert blob["verdicts"][3]["first_violation"] == 3
     assert "mask,k0_ok,first_violation" in csv_text
     assert "3,false,3" in csv_text
+    code, out = run(capsys, "enumerate", "-N", "8", "--horizon", "32", "--jobs", "0")
+    assert code == 3
+    assert "jobs" in out.err
 
 
 def test_construct_and_rejection(capsys):

@@ -2,11 +2,13 @@
 
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from oracles import alt_moment_sum, compositions_of, partition_count
 
+from compsigns import explorer
 from compsigns.explorer import (
     HORIZON_NOTE,
     CofiniteCheck,
@@ -140,6 +142,25 @@ def test_enumerate_guards():
         enumerate_F(30, 200)
     with pytest.raises(ValueError):
         enumerate_F(8, 10)  # horizon < 4n
+    with pytest.raises(ValueError):
+        enumerate_F(8, 64, jobs=0)
+
+
+def test_enumerate_jobs_capped_at_cpu_count(monkeypatch):
+    requested = []
+
+    class FakePool(ThreadPoolExecutor):
+        # records the requested pool size, then runs on one thread
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
+    serial = enumerate_F(8, 64)
+    assert enumerate_F(8, 64, jobs=10**9) == serial
+    assert enumerate_F(8, 64, jobs=2) == serial
+    assert requested == [3, 2]
 
 
 def test_enumeration_json_and_csv():

@@ -14,9 +14,7 @@ from compsigns.poly import (
     format_poly,
     monic_divides,
     monic_divmod,
-    poly_add,
     poly_gcd,
-    poly_mul,
     primitive,
     resultant,
     resultant_in_y,
@@ -43,10 +41,10 @@ def test_normalization_and_degree():
 def test_ring_ops_basics():
     one_plus_t = IntPoly((1, 1))
     one_minus_t = IntPoly((1, -1))
-    assert poly_mul(one_plus_t, one_minus_t) == IntPoly((1, 0, -1))
+    assert one_plus_t * one_minus_t == IntPoly((1, 0, -1))
     p = IntPoly((3, 0, 2))
-    assert poly_add(IntPoly(), p) == p
-    assert poly_mul(IntPoly((1, 1, 1)), IntPoly((1,))) == IntPoly((1, 1, 1))
+    assert IntPoly() + p == p
+    assert IntPoly((1, 1, 1)) * IntPoly((1,)) == IntPoly((1, 1, 1))
     assert (p - p).is_zero
 
 

@@ -88,6 +88,20 @@ def test_horizon_guard():
         s.members_up_to(-1)
 
 
+def test_members_capped():
+    # finite kinds know every element and bypass the horizon
+    assert parse_spec("{1,5,20}@10").members_capped() == [1, 5, 20]
+    assert parse_spec("{1,5,20}@10").members_capped(19) == [1, 5]
+    assert parse_spec("1..4@2").members_capped() == [1, 2, 3, 4]
+    assert parse_spec("1..4@2").members_capped(3) == [1, 2, 3]
+    # infinite kinds stay horizon-gated and need a cap
+    assert parse_spec("N+\\{2}@10").members_capped(4) == [1, 3, 4]
+    with pytest.raises(HorizonError):
+        parse_spec("N+\\{2}@10").members_capped(11)
+    with pytest.raises(SpecError):
+        parse_spec("repunit(3)").members_capped()
+
+
 def test_contains():
     s = parse_spec("N+\\{2,6}@40")
     assert s.contains(1)
