@@ -5,4 +5,10 @@ from ._backend import BACKEND
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in compsigns, never bad input
+    and never a mathematical finding.  The CLI exits 4 on it."""
+
+
+__all__ = ["BACKEND", "InternalError", "__version__"]

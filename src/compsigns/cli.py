@@ -3,7 +3,8 @@
 Every capability is exposed through one subcommand with reproducible,
 machine-readable output: identical command and inputs give byte-identical
 primary output.  Exit codes: 0 success/pass, 1 property violated (a
-counterexample is emitted), 2 inconclusive, 3 usage error.
+counterexample is emitted), 2 inconclusive, 3 usage error, 4 internal
+error (a broken invariant inside compsigns: a bug, never a verdict).
 
 With ``--out DIR`` the primary output is also written into DIR next to a
 ``run_manifest.json`` recording the command line, parameters, sha256
@@ -26,7 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import InternalError, __version__
 from .compositions import comp_polys, counts_csv, triangle_csv, verify_identities
 from .explorer import (
     construct_distinct_subset_sums,
@@ -381,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegralityError as exc:
         print(f"integrality violated: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:  # SpecError, HorizonError, bad numbers
         print(f"error: {exc}", file=sys.stderr)
         return 3

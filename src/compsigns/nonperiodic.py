@@ -29,6 +29,17 @@ zeta^2 is such a ratio, so if no cyclotomic polynomial of admissible
 order M >= 2 divides R then zeta^2 (hence zeta, which is non-real by
 (i)) is not a root of unity.  R(1) = 0 always (self-ratios), which is
 why order 1 is exempt.
+
+R is built as a composed product (Bostan, Flajolet, Salvy, Schost 2006,
+"Fast computation of special resultants", J. Symbolic Comput. 41), with
+no resultant and no interpolation.  Its d^2 roots are the ratios
+beta_j/beta_i of the roots of p, so its k-th power sum is
+s_k(p) * s_{-k}(p).  In integers: with c the leading coefficient,
+c*beta_j are the roots of the monic c^(d-1) p(x/c) and 1/beta_i those
+of the reversal of p, monic because p(0) = 1.  Both have integer power
+sums, their termwise product is the power-sum sequence of the ratios
+times c^k, Newton's identities turn it back into a monic integer
+polynomial, and x -> c*x followed by the primitive part gives R.
 """
 
 from __future__ import annotations
@@ -42,7 +53,9 @@ from .poly import (
     IntPoly,
     cyclotomic,
     monic_divides,
-    resultant_in_y,
+    monic_from_power_sums,
+    power_sums,
+    primitive,
     totient_candidates,
     yun_squarefree,
 )
@@ -442,10 +455,20 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
 
 
 def ratio_poly(p: IntPoly) -> IntPoly:
-    """R(x) = Res_y(p(y), p(x*y)): vanishes exactly at ratios r/s of roots
-    of p (R(1) = 0 always, from self-ratios)."""
-    rows = [IntPoly((0,) * j + (c,)) for j, c in enumerate(p.coeffs)]
-    return resultant_in_y(p, rows)
+    """Primitive part of R(x) = Res_y(p(y), p(x*y)), of degree d^2: its
+    roots are the ratios r/s of roots of p, with multiplicity (R(1) = 0
+    always, from self-ratios).  Built from power sums, see the module
+    docstring; needs p(0) = 1 and degree >= 1."""
+    d = p.degree
+    if d < 1 or p.coeffs[0] != 1:
+        raise ValueError("ratio polynomial needs degree >= 1 and constant term 1")
+    c = p.lead
+    scaled = IntPoly(tuple(a * c ** (d - 1 - i)
+                           for i, a in enumerate(p.coeffs[:-1])) + (1,))
+    forward = power_sums(scaled, d * d)
+    backward = power_sums(IntPoly(p.coeffs[::-1]), d * d)
+    monic = monic_from_power_sums([s * t for s, t in zip(forward, backward)])
+    return primitive(IntPoly(tuple(m * c**i for i, m in enumerate(monic.coeffs))))
 
 
 def _exact_unity_screen(p: IntPoly, degree_bound: int) -> ExactUnityTest:

@@ -7,9 +7,15 @@ tuple.  All arithmetic is arbitrary-precision and exact.
 Besides ring operations this module provides the delta operator
 D = t * d/dt, truncated rational power series with exact inversion, and
 the computer-algebra primitives used by the non-periodicity certifier:
-resultants (sign convention fixed below), rational gcd, Yun square-free
-decomposition, cyclotomic polynomials, and enumeration of all N whose
+rational gcd, Yun square-free decomposition, root power sums and Newton's
+identities, cyclotomic polynomials, and enumeration of all N whose
 totient is below a bound.
+
+The resultant section (Sylvester determinants and interpolation in x) is
+a test oracle only.  The certifier builds its ratio polynomial from power
+sums instead; the resultant route stays as the independent second
+construction the tests compare against, and because the benchmark's
+tracer (perfbench/shim.py) looks up ``resultant_in_y`` by name.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 
+from . import InternalError
 from ._backend import conv, conv_trunc
 
 
@@ -253,7 +260,54 @@ def yun_squarefree(p: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-# -- resultants ------------------------------------------------------------
+# -- power sums and Newton's identities ---------------------------------------
+
+
+def power_sums(f: IntPoly, n: int) -> list[int]:
+    """Power sums P_1..P_n of the roots of the monic integer polynomial f.
+
+    Newton's identities, with a_i the coefficient of x^(d-i) and a_i = 0
+    for i > d: P_k = -(k*a_k + a_1*P_(k-1) + ... + a_(k-1)*P_1).
+    """
+    if f.is_zero or f.lead != 1:
+        raise ValueError("power sums need a monic polynomial")
+    d = f.degree
+    a = f.coeffs[::-1]
+    sums: list[int] = []
+    for k in range(1, n + 1):
+        s = k * a[k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            s += a[i] * sums[k - i - 1]
+        sums.append(-s)
+    return sums
+
+
+def monic_from_power_sums(sums: list[int]) -> IntPoly:
+    """The monic polynomial of degree len(sums) whose roots have the power
+    sums P_1, P_2, ... given, by Newton's identities run backwards:
+    k*a_k = -(P_k + a_1*P_(k-1) + ... + a_(k-1)*P_1).
+
+    The callers only pass power sums of algebraic integers closed under
+    conjugation, so every division by k is exact; a remainder is a broken
+    invariant and raises InternalError.
+    """
+    a = [1]
+    for k in range(1, len(sums) + 1):
+        s = sums[k - 1]
+        for i in range(1, k):
+            s += a[i] * sums[k - i - 1]
+        q, r = divmod(-s, k)
+        if r:
+            raise InternalError(
+                f"Newton's identities: step {k} leaves remainder {r} mod {k}")
+        a.append(q)
+    return IntPoly(tuple(reversed(a)))
+
+
+# -- resultants (test oracle) ---------------------------------------------
+# Off the certifier's path since nonperiodic.ratio_poly uses power sums.
+# Kept as the independent oracle for the ratio-polynomial tests, and
+# because perfbench/shim.py traces resultant_in_y by name.
 
 
 def _det_bareiss(m: list[list[int]]) -> int:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from compsigns import sums
+from compsigns import InternalError, nonperiodic, sums
 from compsigns.cli import load_config, main
 from compsigns.sums import SkGrid, sk_fast
 
@@ -119,6 +119,17 @@ def test_nonperiodic_exact_flag(capsys):
     blob = json.loads(out.out)
     assert blob["exact_test"]["divisor_order"] is None
     assert blob["config"]["exact"] is True
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(p):
+        raise InternalError("invariant broken on purpose")
+
+    monkeypatch.setattr(nonperiodic, "ratio_poly", broken)
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--exact")
+    assert code == 4
+    assert out.out == ""
+    assert "internal error: invariant broken on purpose" in out.err
 
 
 def test_config_file(tmp_path, capsys):

@@ -5,6 +5,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compsigns.nonperiodic import (
     INCONCLUSIVE,
@@ -26,7 +28,7 @@ from compsigns.nonperiodic import (
     reciprocal_sign_prefix,
     roots_numeric,
 )
-from compsigns.poly import IntPoly
+from compsigns.poly import IntPoly, cyclotomic, primitive, resultant_in_y
 from compsigns.sets import SpecError, explicit, parse_spec
 from compsigns.signs import NO_PERIOD, SignWord, detect_period
 from compsigns.sums import sk_fast
@@ -230,6 +232,53 @@ def test_ratio_poly_vanishes_on_root_ratios():
                 x = a.value / b.value
                 val = sum(c * x**i for i, c in enumerate(coeffs))
                 assert abs(val) < mp.mpf(2) ** -80
+
+
+def _resultant_ratio_poly(p):
+    """Independent oracle: Res_y(p(y), p(x*y)) by Sylvester determinants and
+    interpolation in x, reduced to its primitive part."""
+    rows = [IntPoly((0,) * j + (c,)) for j, c in enumerate(p.coeffs)]
+    return primitive(resultant_in_y(p, rows))
+
+
+@pytest.mark.parametrize("p", [
+    P23,
+    P14,
+    denom_poly(parse_spec("{2,3,8}")),
+    denom_poly(parse_spec("{1,2,4,10}")),
+    IntPoly((1, 0, 0, -2, 7)),                       # non-monic lead
+    cyclotomic(3) * cyclotomic(4),
+    cyclotomic(2) * cyclotomic(6) * cyclotomic(6),   # repeated roots
+], ids=["{2,3}", "{1,4}", "{2,3,8}", "{1,2,4,10}", "p=1,0,0,-2,7",
+        "Phi3*Phi4", "Phi2*Phi6^2"])
+def test_ratio_poly_matches_resultant_oracle(p):
+    r = ratio_poly(p)
+    assert r == _resultant_ratio_poly(p)
+    assert r.degree == p.degree ** 2
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+       st.integers(-5, 5).filter(bool))
+def test_ratio_poly_matches_resultant_oracle_property(middle, lead):
+    p = IntPoly((1, *middle, lead))  # degree 2..5, p(0) = 1
+    r = ratio_poly(p)
+    assert r == _resultant_ratio_poly(p)
+    assert r.degree == p.degree ** 2
+    assert r(1) == 0
+
+
+def test_ratio_poly_preconditions():
+    for bad in (IntPoly((1,)), IntPoly((2, 1)), IntPoly((0, 1, 1))):
+        with pytest.raises(ValueError):
+            ratio_poly(bad)
+
+
+def test_exact_tier_degree_12():
+    rep = check_set_nonperiodic(parse_spec("{1,2,4,12}"), CertConfig(exact=True))
+    assert rep.verdict == NOT_EVENTUALLY_PERIODIC
+    assert rep.exact_test.ratio_degree == 144
+    assert rep.exact_test.divisor_order is None
 
 
 def test_reciprocal_prefix_geometric():

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from compsigns import InternalError
 from compsigns.poly import (
     IntPoly,
     RatSeries,
@@ -14,7 +15,9 @@ from compsigns.poly import (
     format_poly,
     monic_divides,
     monic_divmod,
+    monic_from_power_sums,
     poly_gcd,
+    power_sums,
     primitive,
     resultant,
     resultant_in_y,
@@ -182,6 +185,30 @@ def test_resultant_in_y_matches_specialization():
         for x0 in (2, -1, 3):
             b_at = IntPoly(tuple(p(x0) for p in rows))
             assert big(x0) == resultant(a, b_at)
+
+
+def test_power_sums_anchors():
+    assert power_sums(IntPoly((-1, 0, 1)), 4) == [0, 2, 0, 2]   # roots +-1
+    assert power_sums(IntPoly((1, 0, 1)), 4) == [0, -2, 0, 2]   # roots +-i
+    assert power_sums(IntPoly((-6, 11, -6, 1)), 3) == [6, 14, 36]  # 1, 2, 3
+    with pytest.raises(ValueError):
+        power_sums(IntPoly((1, 2)), 3)
+
+
+def test_power_sums_round_trip_random():
+    rng = random.Random(53)
+    for _ in range(30):
+        d = rng.randint(1, 6)
+        f = IntPoly(tuple(rng.randint(-7, 7) for _ in range(d)) + (1,))
+        assert monic_from_power_sums(power_sums(f, d)) == f
+
+
+def test_monic_from_power_sums_rejects_non_integer_sums():
+    # P_1 = 1, P_2 = 0 needs e_2 = 1/2: no monic integer polynomial has them
+    with pytest.raises(InternalError):
+        monic_from_power_sums([1, 0])
+    with pytest.raises(InternalError):
+        monic_from_power_sums([0, 0, 1])
 
 
 def test_yun_squarefree():
