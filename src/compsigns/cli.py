@@ -4,7 +4,8 @@ Every capability is exposed through one subcommand with reproducible,
 machine-readable output: identical command and inputs give byte-identical
 primary output.  Exit codes: 0 success/pass, 1 property violated (a
 counterexample is emitted), 2 inconclusive, 3 usage error, 4 internal
-error (a broken invariant inside compsigns: a bug, never a verdict).
+error (a broken invariant or any other unexpected exception inside
+compsigns, with its traceback on stderr: a bug, never a verdict).
 
 With ``--out DIR`` the primary output is also written into DIR next to a
 ``run_manifest.json`` recording the command line, parameters, sha256
@@ -25,6 +26,7 @@ import json
 import re
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import InternalError, __version__
@@ -391,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception:  # a bug: never report it as a verdict or usage error
+        traceback.print_exc()
+        return 4
     for _, text in outputs:
         sys.stdout.write(text)
     if getattr(args, "out", None):

@@ -3,8 +3,9 @@
 A part-set A yields, for each n, the polynomial f_n whose coefficient of
 t^i counts the compositions of n into exactly i parts from A (ordered
 tuples).  This module builds those polynomial tables, the plain counts
-c_A(n), partition counts, the rational q-series f(x)/(x f'(x)), and an
-exact verifier for the algebraic identities tying them together.
+c_A(n), partition counts, the rational q-series f(x)/(x f'(x)) (also as
+integers scaled by powers of min(A)), and an exact verifier for the
+algebraic identities tying them together.
 
 Identity checks run in one of two modes.  The default "eval" mode
 evaluates both sides at enough integer points to pin down polynomials of
@@ -20,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import comp_poly_rows, conv_trunc, delta_eval_table, eval_table
+from ._backend import (
+    comp_poly_rows,
+    conv_trunc,
+    delta_eval_table,
+    eval_table,
+    series_inv_int,
+)
 from .poly import IntPoly, RatSeries, delta_op, series_inverse, series_mul
 from .sets import SetSpec, SpecError
 
@@ -129,6 +136,32 @@ def q_series(spec: SetSpec, order: int) -> QSeries:
             den[a - m] += a
     series = series_mul(RatSeries(tuple(num)), series_inverse(RatSeries(tuple(den))))
     return QSeries(spec, series)
+
+
+def q_series_scaled(spec: SetSpec, order: int) -> tuple[int, list[int]]:
+    """(m, Q) with m = min(set) and Q[n] = m^(n+1) * q_n an integer for
+    n <= order, where q_n are the coefficients of q_series(spec, order).
+
+    With num_i, den_i the shifted coefficients of f and x f' (den_0 = m),
+    the reciprocal of the denominator scales to the integer series
+    I'_n = m^(n+1) * [x^n] 1/den, which obeys
+    I'_n = -sum_{i>=1} den_i * m^(i-1) * I'_(n-i) with I'_0 = 1; then
+    Q = sum_j num_j * m^j * I'_(n-j).  Same truncation rules as q_series.
+    """
+    m = spec.min_element()
+    if m is None:
+        raise SpecError("q-series needs a nonempty set")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    num = [0] * (order + 1)   # num_i * m^i
+    den = [1] + [0] * order   # den_i * m^(i-1), constant term den_0 / m
+    for a in spec.members_capped(order + m):
+        i = a - m
+        if i <= order:
+            num[i] = m**i
+            if i:
+                den[i] = a * m ** (i - 1)
+    return m, conv_trunc(num, series_inv_int(den, order), order)
 
 
 def qseries_to_json(q: QSeries) -> dict:
@@ -252,17 +285,20 @@ class _IdentityChecker:
             return _first_diff(_neg_coeffs(polys[n]).coeffs, signed.coeffs)
         return -1
 
-    def _coeff_delta_q(self, n: int, q: QSeries) -> int:
+    def _coeff_delta_q(self, n: int, q: tuple[int, list[int]]) -> int:
+        # D(f_n) = sum_i i * q(n-i) * f_i, times m^(n+1) on both sides so
+        # that Q[n-i] = m^(n-i+1) * q(n-i) keeps everything integral
+        m, Q = q
         polys = self.table.polys
-        lhs = [Fraction(c) for c in delta_op(polys[n]).coeffs]
-        rhs: list[Fraction] = []
+        lhs = delta_op(polys[n]).scale(m ** (n + 1)).coeffs
+        rhs: list[int] = []
         for i in range(1, n + 1):
-            scale = i * q[n - i]
+            scale = i * m**i * Q[n - i]
             if not scale:
                 continue
             row = polys[i].coeffs
             if len(rhs) < len(row):
-                rhs.extend([Fraction(0)] * (len(row) - len(rhs)))
+                rhs.extend([0] * (len(row) - len(rhs)))
             for j, c in enumerate(row):
                 if c:
                     rhs[j] += scale * c
@@ -278,7 +314,8 @@ class _IdentityChecker:
 
     # -- whole-range checks ------------------------------------------------
 
-    def check_coeff(self, name: str, q: QSeries | None) -> IdentityFailure | None:
+    def check_coeff(self, name: str,
+                    q: tuple[int, list[int]] | None) -> IdentityFailure | None:
         for n in range(self.upto + 1):
             if name == "recurrence_weight":
                 idx = self._coeff_recurrence_weight(n)
@@ -325,11 +362,11 @@ class _IdentityChecker:
                 elif name == "parity":
                     o_neg = eval_table(self.odd_members, n_max, -point)
                     alt = [v if j % 2 == 0 else -v for j, v in enumerate(v_pos)]
-                    lhs1 = conv_trunc(o_neg, v_neg, n_max)
-                    lhs2 = conv_trunc(o_neg, alt, n_max)
+                    lhs = conv_trunc(
+                        o_neg, [a + b for a, b in zip(v_neg, alt)], n_max)
                     rhs = conv_trunc(alt, v_neg, n_max)
                     for n in range(n_max + 1):
-                        if lhs1[n] + lhs2[n] != 2 * rhs[n]:
+                        if lhs[n] != 2 * rhs[n]:
                             return self._locate(name, n)
                     if self.all_odd:
                         for n in range(n_max + 1):
@@ -353,7 +390,8 @@ def verify_identities(spec: SetSpec, upto: int, method: str = "eval") -> Identit
     (reflection) f_n(t) + f_n(-t) against twice the mixed self-convolution;
     (parity) the odd-part convolution identity, plus f_n(-t) = (-1)^n f_n(t)
     when every part is odd; (delta_q) D(f_n) as the q-weighted sum of
-    lower polynomials, over exact rationals; (delta_self) D(f_n) as the
+    lower polynomials, in integers scaled by m^(n+1) with m = min(set)
+    (see q_series_scaled); (delta_self) D(f_n) as the
     truncated self-convolution.  All comparisons are exact; failures carry
     the first differing (n, coefficient) pair.  The empty set passes
     everything vacuously.
@@ -361,7 +399,7 @@ def verify_identities(spec: SetSpec, upto: int, method: str = "eval") -> Identit
     if method not in ("eval", "coeff"):
         raise ValueError("method must be 'eval' or 'coeff'")
     chk = _IdentityChecker(spec, upto)
-    q = None if spec.is_empty else q_series(spec, upto)
+    q = None if spec.is_empty else q_series_scaled(spec, upto)
     results: dict[str, IdentityFailure | None] = {}
     results["recurrence_weight"] = chk.check_coeff("recurrence_weight", None)
     results["delta_q"] = chk.check_coeff("delta_q", q)

@@ -45,9 +45,7 @@ polynomial, and x -> c*x followed by the primitive part gives R.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath as mp
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .poly import (
     IntPoly,
@@ -60,6 +58,12 @@ from .poly import (
     yun_squarefree,
 )
 from .sets import SetSpec, SpecError
+
+# mpmath and numpy are imported inside the functions that use them: the
+# CLI imports this module for every subcommand, and only the certifier
+# needs the numeric stack
+if TYPE_CHECKING:
+    import mpmath as mp
 
 NOT_EVENTUALLY_PERIODIC = "NotEventuallyPeriodic"
 INCONCLUSIVE = "Inconclusive"
@@ -146,6 +150,8 @@ class NonPeriodicityReport:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        import mpmath as mp
+
         def num(x):
             return mp.nstr(x, 32)
 
@@ -238,11 +244,15 @@ def reciprocal_sign_prefix(p: IntPoly, order: int) -> list[int]:
 
 
 def _as_monic_mpc(p: IntPoly) -> list[mp.mpc]:
+    import mpmath as mp
+
     lead = p.lead
     return [mp.mpc(c) / lead for c in p.coeffs]
 
 
 def _poly_eval(coeffs: list[mp.mpc], x: mp.mpc) -> mp.mpc:
+    import mpmath as mp
+
     acc = mp.mpc(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -250,6 +260,9 @@ def _poly_eval(coeffs: list[mp.mpc], x: mp.mpc) -> mp.mpc:
 
 
 def _seed_roots(factor: IntPoly) -> list[mp.mpc]:
+    import mpmath as mp
+    import numpy as np
+
     deg = factor.degree
     try:
         guesses = np.roots(np.array(list(reversed(factor.coeffs)), dtype=float))
@@ -265,6 +278,8 @@ def _seed_roots(factor: IntPoly) -> list[mp.mpc]:
 def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]:
     """All roots of a square-free integer polynomial by simultaneous
     first-order refinement from companion-matrix / spiral seeds."""
+    import mpmath as mp
+
     deg = factor.degree
     if deg == 1:
         return [mp.mpf(-factor.coeffs[0]) / factor.coeffs[1]]
@@ -299,6 +314,8 @@ def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]
 
 def _enforce_conjugates(roots: list[mp.mpc], residual_tol: mp.mpf) -> list[mp.mpc]:
     """Snap a root list of a real polynomial to exact conjugate symmetry."""
+    import mpmath as mp
+
     im_eps = mp.sqrt(residual_tol)
     real_part = []
     complex_part = []
@@ -336,6 +353,8 @@ def roots_numeric(
     |p(root)| <= residual_tol * (1 + |root|)^deg(p), and roots closer than
     2 * residual_tol are merged into one cluster.
     """
+    import mpmath as mp
+
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     if p.coeffs[0] != 1:
@@ -372,6 +391,8 @@ def roots_numeric(
 
 def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPeriodicityReport:
     """Run the dominant-root certificate on p (p(0) = 1, degree >= 2)."""
+    import mpmath as mp
+
     if p.degree < 2:
         raise ValueError("need degree >= 2")
     if p.coeffs[0] != 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import prod
 
 from . import InternalError
 from ._backend import conv, conv_trunc
@@ -422,20 +423,52 @@ def _interpolate_int(xs: list[int], ys: list[int]) -> IntPoly:
 _CYCLO_CACHE: dict[int, IntPoly] = {1: IntPoly((-1, 1))}
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _compose_power(f: IntPoly, k: int) -> IntPoly:
+    """f(x^k)."""
+    coeffs = [0] * (f.degree * k + 1)
+    coeffs[::k] = f.coeffs
+    return IntPoly(tuple(coeffs))
+
+
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, exact."""
+    """The n-th cyclotomic polynomial, exact.
+
+    Phi_n(x) = Phi_r(x^(n/r)) with r the square-free kernel of n, and for
+    square-free r = s*p with p the largest prime factor,
+    Phi_r(x) = Phi_s(x^p) / Phi_s(x), one exact monic division.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     got = _CYCLO_CACHE.get(n)
     if got is not None:
         return got
-    num = IntPoly((-1,) + (0,) * (n - 1) + (1,))  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = monic_divmod(num, cyclotomic(d))
-            assert rem.is_zero
-    _CYCLO_CACHE[n] = num
-    return num
+    primes = _prime_factors(n)
+    rad = prod(primes)
+    if rad < n:
+        phi = _compose_power(cyclotomic(rad), n // rad)
+    else:
+        inner = cyclotomic(n // primes[-1])
+        phi, rem = monic_divmod(_compose_power(inner, primes[-1]), inner)
+        if not rem.is_zero:
+            raise InternalError(
+                f"cyclotomic({n}): Phi_{n // primes[-1]} leaves a remainder")
+    _CYCLO_CACHE[n] = phi
+    return phi
 
 
 def totient_candidates(d: int) -> list[int]:

@@ -11,8 +11,9 @@ cross-validate each other exactly.
   evaluate at -1.  Trusted reference, definitional.
 * sk_fast: production path on a single integer recurrence (see its
   docstring for the derivation); no polynomial storage.
-* sk_via_q: lift row k to k+1 through the rational q-series; exact
-  rational arithmetic whose results must come out integral.
+* sk_via_q: lift row k to k+1 through the q-series f/(x f'), carried as
+  integers scaled by powers of m = min(set); every lifted entry must
+  divide back exactly.
 * sk_via_conv: lift row k to k+1 through binomially weighted
   convolutions of the lower rows.
 """
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from ._backend import sk_rows
-from .compositions import comp_polys, q_series
+from ._backend import conv_trunc, sk_rows
+from .compositions import comp_polys, q_series_scaled
 from .poly import delta_op
 from .sets import SetSpec
 
@@ -83,27 +84,34 @@ def sk_fast(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
 
 
 def sk_via_q(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
-    """Rational route: S_{k+1}(n) = sum_i i * q(n-i) * S_k(i).
+    """q-series route: S_{k+1}(n) = sum_i i * q(n-i) * S_k(i).
 
-    Exact Fraction arithmetic; every entry must reduce to an integer, and
-    a non-integer raises IntegralityError rather than rounding.
+    The q-series is rational, but with m = min(set) the scaled
+    coefficients Q[n] = m^(n+1) * q(n) are integers (q_series_scaled), so
+
+        m^(n+1) * S_{k+1}(n) = sum_i i * m^i * S_k(i) * Q[n-i]
+
+    is one integer convolution per row.  Every entry must then divide
+    exactly by m^(n+1); a remainder raises IntegralityError rather than
+    rounding.
     """
     _check_kn(k_max, n_max)
     base = sk_fast(spec, 0, n_max).row(0)
-    q = q_series(spec, n_max)
+    m, Q = q_series_scaled(spec, n_max)
+    powers = [m**i for i in range(n_max + 2)]
     rows = [tuple(base)]
     prev = base
     for k in range(k_max):
+        scaled = conv_trunc(
+            [i * powers[i] * v for i, v in enumerate(prev)], Q, n_max)
         nxt = []
-        for n in range(n_max + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                if prev[i]:
-                    acc += i * q[n - i] * prev[i]
-            if acc.denominator != 1:
+        for n, acc in enumerate(scaled):
+            val, rem = divmod(acc, powers[n + 1])
+            if rem:
                 raise IntegralityError(
-                    f"S_{k + 1}({n}) came out {acc} for {spec.render()}")
-            nxt.append(int(acc))
+                    f"S_{k + 1}({n}) came out {Fraction(acc, powers[n + 1])} "
+                    f"for {spec.render()}")
+            nxt.append(val)
         rows.append(tuple(nxt))
         prev = nxt
     return SkGrid(spec, k_max, n_max, tuple(rows))

@@ -55,3 +55,23 @@ def alt_moment_sum(parts, k, n) -> int:
     """Sum of (-1)^i * i^k over compositions grouped by part count i."""
     tri = triangle_counts(parts, n)
     return sum((-1) ** i * i**k * c for i, c in tri.items())
+
+
+_CYCLO_BY_DIVISION = {}
+
+
+def cyclotomic_by_division(n):
+    """The n-th cyclotomic polynomial as x^n - 1 divided by every Phi_d
+    with d a proper divisor of n (long division, cached)."""
+    from compsigns.poly import IntPoly, monic_divmod
+
+    got = _CYCLO_BY_DIVISION.get(n)
+    if got is not None:
+        return got
+    num = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = monic_divmod(num, cyclotomic_by_division(d))
+            assert rem.is_zero
+    _CYCLO_BY_DIVISION[n] = num
+    return num

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from compsigns import InternalError, nonperiodic, sums
+import compsigns
+from compsigns import InternalError, cli, nonperiodic, sums
 from compsigns.cli import load_config, main
 from compsigns.sums import SkGrid, sk_fast
 
@@ -130,6 +136,38 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out.out == ""
     assert "internal error: invariant broken on purpose" in out.err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def crash(args):
+        return 1 // 0
+
+    monkeypatch.setitem(cli._HANDLERS, "counts", crash)
+    code, out = run(capsys, "counts", "-A", "{1,2}", "-N", "5")
+    assert code == 4
+    assert out.out == ""
+    assert "ZeroDivisionError" in out.err and "Traceback" in out.err
+
+
+def test_numeric_stack_loaded_only_by_the_certifier():
+    # a fresh process: numpy and mpmath stay out of sys.modules through
+    # imports and a non-certifier run, and come in with the certifier
+    script = textwrap.dedent("""
+        import sys
+        import compsigns.cli
+        import compsigns.nonperiodic
+        assert compsigns.cli.main(["counts", "-A", "{1,2}", "-N", "5"]) == 0
+        print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
+        assert compsigns.cli.main(["nonperiodic", "-p", "1,1,1"]) == 2
+        print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
+    """)
+    src = Path(compsigns.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    loaded = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded ")]
+    assert loaded == ["loaded []", "loaded ['mpmath', 'numpy']"]
 
 
 def test_config_file(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import partition_count, triangle_counts
 
+from compsigns import compositions
 from compsigns.compositions import (
     CompPolyTable,
     IdentityFailure,
@@ -18,6 +19,7 @@ from compsigns.compositions import (
     counts_csv,
     partition_counts,
     q_series,
+    q_series_scaled,
     qseries_to_json,
     triangle_csv,
     verify_identities,
@@ -111,6 +113,50 @@ def test_q_series_infinite_truncation_consistency():
     members = parse_spec("N+\\{2,6}@50").members_up_to(21)
     fin = q_series(explicit(members, horizon=50), 20)
     assert cof.coeffs.coeffs == fin.coeffs.coeffs
+
+
+SCALED_Q_SETS = ["{1,2,3}", "{2}", "{2,3}", "{3,5,7}", "N+\\{1}@40",
+                  "N+\\{2,6}@50"]
+
+
+@pytest.mark.parametrize("text", SCALED_Q_SETS)
+def test_q_series_scaled_matches_q_series(text):
+    spec = parse_spec(text)
+    q = q_series(spec, 30)
+    m, scaled = q_series_scaled(spec, 30)
+    assert m == spec.min_element()
+    assert len(scaled) == 31
+    assert all(scaled[n] == m ** (n + 1) * q[n] for n in range(31))
+
+
+def test_q_series_scaled_validation():
+    with pytest.raises(SpecError):
+        q_series_scaled(parse_spec("{}"), 3)
+    with pytest.raises(ValueError):
+        q_series_scaled(parse_spec("{1,2}"), -1)
+
+
+def _perturbed_scaled_q(at):
+    def scaled(spec, order):
+        m, q = q_series_scaled(spec, order)
+        q = list(q)
+        q[at] += 1
+        return m, q
+    return scaled
+
+
+@pytest.mark.parametrize("text", ["{1,2,3}", "{2,3}", "{3,5,7}"])
+def test_delta_q_catches_perturbed_scaled_q(text, monkeypatch):
+    # one wrong Q entry first shows at n = at + m, in the t^1 coefficient
+    # that f_m = t contributes
+    spec = parse_spec(text)
+    at = 4
+    monkeypatch.setattr(compositions, "q_series_scaled", _perturbed_scaled_q(at))
+    for method in ("eval", "coeff"):
+        report = verify_identities(spec, 20, method=method)
+        assert report.results["delta_q"] == IdentityFailure(
+            "delta_q", at + spec.min_element(), 1)
+        assert [name for name, fail in report.results.items() if fail] == ["delta_q"]
 
 
 def test_q_weighted_delta_identity():

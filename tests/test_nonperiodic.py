@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cyclotomic_by_division
+
+from compsigns import nonperiodic
 from compsigns.nonperiodic import (
     INCONCLUSIVE,
     NOT_EVENTUALLY_PERIODIC,
@@ -279,6 +282,20 @@ def test_exact_tier_degree_12():
     assert rep.verdict == NOT_EVENTUALLY_PERIODIC
     assert rep.exact_test.ratio_degree == 144
     assert rep.exact_test.divisor_order is None
+
+
+@pytest.mark.parametrize("p, checked, divisor", [
+    (denom_poly(parse_spec("{1,2,4,12}")), 289, None),
+    (cyclotomic(3) * cyclotomic(4), 1, 2),
+], ids=["{1,2,4,12}", "Phi3*Phi4"])
+def test_exact_unity_screen_unchanged_by_cyclotomic_construction(
+        p, checked, divisor, monkeypatch):
+    bound = 2 * p.degree * (p.degree - 1)
+    got = nonperiodic._exact_unity_screen(p, bound)
+    monkeypatch.setattr(nonperiodic, "cyclotomic", cyclotomic_by_division)
+    oracle = nonperiodic._exact_unity_screen(p, bound)
+    assert got == oracle
+    assert (got.orders_checked, got.divisor_order) == (checked, divisor)
 
 
 def test_reciprocal_prefix_geometric():

@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 
+from oracles import cyclotomic_by_division
+
 from compsigns import InternalError
 from compsigns.poly import (
     IntPoly,
@@ -258,6 +260,13 @@ def test_cyclotomic():
             if n % d == 0:
                 prod = prod * cyclotomic(d)
         assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
+
+
+def test_cyclotomic_matches_long_division():
+    # the square-free-kernel construction against x^m - 1 divided by
+    # every Phi_d with d a proper divisor of m
+    for m in range(1, 401):
+        assert cyclotomic(m) == cyclotomic_by_division(m), m
 
 
 def test_totient_candidates():

@@ -96,6 +96,25 @@ def test_integrality_guard_fires_on_corrupt_base(monkeypatch):
         sums_mod.sk_via_q(spec, 1, 3)
 
 
+@pytest.mark.parametrize("text", ["{1,2,3}", "{2}", "{2,3}", "{3,5,7}",
+                                  "N+\\{1}@40", "N+\\{2,6}@50"])
+def test_via_q_catches_perturbed_scaled_q(text, monkeypatch):
+    import compsigns.sums as sums_mod
+    from compsigns.compositions import q_series_scaled
+
+    def perturbed(spec, order):
+        m, q = q_series_scaled(spec, order)
+        return m, q[:3] + [q[3] + 1] + q[4:]
+
+    spec = parse_spec(text)
+    monkeypatch.setattr(sums_mod, "q_series_scaled", perturbed)
+    try:
+        grid = sums_mod.sk_via_q(spec, 3, 25)
+    except IntegralityError:
+        return
+    assert grid.values != sk_fast(spec, 3, 25).values
+
+
 def test_validation():
     with pytest.raises(ValueError):
         sk_fast(parse_spec("{1}"), -1, 5)
