@@ -11,9 +11,14 @@ Identity checks run in one of two modes.  The default "eval" mode
 evaluates both sides at enough integer points to pin down polynomials of
 the degrees involved (n+1 points determine a degree-n polynomial), which
 keeps the inner loops on fast integer kernels and is still an exact
-proof.  The "coeff" mode compares coefficient vectors directly; it is
+proof.  It is one pass over t = 1, 2, ...: the value tables at +t and -t
+are built once per t and shared by the reflection, parity and delta_self
+checks, and reflection, whose two sides are even in t, is evaluated at
++t only.  The "coeff" mode compares coefficient vectors directly; it is
 slower but localizes a mismatch, so "eval" falls back to it to report
-the exact differing coefficient when a check fails.
+the exact differing coefficient when a check fails.  An eval failure
+that the coefficient check cannot place means the value and coefficient
+tables disagree, which is a bug (InternalError), not a finding.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import InternalError
 from ._backend import (
     comp_poly_rows,
     conv_trunc,
@@ -233,7 +239,9 @@ class _IdentityChecker:
         self.members = spec.members_up_to(upto)
         self.odd_members = [a for a in self.members if a % 2 == 1]
         self.all_odd = len(self.odd_members) == len(self.members)
+        self.q = None if spec.is_empty else q_series_scaled(spec, upto)
         self._table: CompPolyTable | None = None
+        self._odd_polys: tuple[IntPoly, ...] | None = None
 
     @property
     def table(self) -> CompPolyTable:
@@ -241,7 +249,15 @@ class _IdentityChecker:
             self._table = comp_polys(self.spec, self.upto)
         return self._table
 
-    # each _coeff_* method returns the coefficient index of the first
+    @property
+    def odd_polys(self) -> tuple[IntPoly, ...]:
+        """Part-count polynomials of the odd members, n = 0 .. upto."""
+        if self._odd_polys is None:
+            rows = comp_poly_rows(self.odd_members, self.upto)
+            self._odd_polys = tuple(IntPoly(tuple(r)) for r in rows)
+        return self._odd_polys
+
+    # each _coeff_<name> method returns the coefficient index of the first
     # mismatch at level n, or -1 if the identity holds there
 
     def _coeff_recurrence_weight(self, n: int) -> int:
@@ -267,11 +283,11 @@ class _IdentityChecker:
 
     def _coeff_parity(self, n: int) -> int:
         polys = self.table.polys
-        opolys = comp_poly_rows(self.odd_members, n)
+        opolys = self.odd_polys
         lhs = IntPoly()
         rhs = IntPoly()
         for i in range(n + 1):
-            o_neg = _neg_coeffs(IntPoly(tuple(opolys[i])))
+            o_neg = _neg_coeffs(opolys[i])
             inner = _neg_coeffs(polys[n - i])
             signed = polys[n - i] if (n - i) % 2 == 0 else -polys[n - i]
             lhs = lhs + o_neg * (inner + signed)
@@ -285,10 +301,12 @@ class _IdentityChecker:
             return _first_diff(_neg_coeffs(polys[n]).coeffs, signed.coeffs)
         return -1
 
-    def _coeff_delta_q(self, n: int, q: tuple[int, list[int]]) -> int:
+    def _coeff_delta_q(self, n: int) -> int:
         # D(f_n) = sum_i i * q(n-i) * f_i, times m^(n+1) on both sides so
         # that Q[n-i] = m^(n-i+1) * q(n-i) keeps everything integral
-        m, Q = q
+        if self.q is None:
+            return -1
+        m, Q = self.q
         polys = self.table.polys
         lhs = delta_op(polys[n]).scale(m ** (n + 1)).coeffs
         rhs: list[int] = []
@@ -314,73 +332,65 @@ class _IdentityChecker:
 
     # -- whole-range checks ------------------------------------------------
 
-    def check_coeff(self, name: str,
-                    q: tuple[int, list[int]] | None) -> IdentityFailure | None:
+    def _failure(self, name: str, n: int) -> IdentityFailure | None:
+        idx = getattr(self, f"_coeff_{name}")(n)
+        return None if idx < 0 else IdentityFailure(name, n, idx)
+
+    def check_coeff(self, name: str) -> IdentityFailure | None:
         for n in range(self.upto + 1):
-            if name == "recurrence_weight":
-                idx = self._coeff_recurrence_weight(n)
-            elif name == "reflection":
-                idx = self._coeff_reflection(n)
-            elif name == "parity":
-                idx = self._coeff_parity(n)
-            elif name == "delta_q":
-                idx = -1 if q is None else self._coeff_delta_q(n, q)
-            elif name == "delta_self":
-                idx = self._coeff_delta_self(n)
-            else:
-                raise ValueError(f"unknown identity {name!r}")
-            if idx >= 0:
-                return IdentityFailure(name, n, idx)
+            fail = self._failure(name, n)
+            if fail is not None:
+                return fail
         return None
 
-    def _locate(self, name: str, n: int) -> IdentityFailure:
-        coeff = {
-            "reflection": self._coeff_reflection,
-            "parity": self._coeff_parity,
-            "delta_self": self._coeff_delta_self,
-        }[name](n)
-        return IdentityFailure(name, n, coeff)
-
-    def check_eval(self, name: str) -> IdentityFailure | None:
-        """Point-evaluation check of one of the convolution identities.
+    def check_eval(self) -> dict[str, IdentityFailure | None]:
+        """Point-evaluation check of reflection, parity and delta_self.
 
         Both sides at level n are polynomials of degree <= upto in t, so
-        agreement at upto+1 distinct points proves equality; the points
-        1, -1, 2, -2, ... are used.
+        agreement at upto+1 distinct points proves equality.  One pass over
+        t = 1 .. (upto+2)//2 builds each value table at +t and -t once.
+        parity and delta_self are checked at t, then at -t.  Both sides of
+        reflection are even in t, so +t alone gives the upto/2+1 values of
+        t^2 it needs.  An identity that has failed is not evaluated again;
+        its report is the first failing n at its first failing point in
+        the order 1, -1, 2, -2, ..., placed by the coefficient check.
         """
         n_max = self.upto
-        half = (n_max + 2) // 2
-        for t in range(1, half + 1):
-            for point in (t, -t):
-                v_pos = eval_table(self.members, n_max, point)
-                v_neg = eval_table(self.members, n_max, -point)
-                if name == "reflection":
-                    rhs = conv_trunc(v_neg, v_pos, n_max)
-                    for n in range(n_max + 1):
-                        if v_pos[n] + v_neg[n] != 2 * rhs[n]:
-                            return self._locate(name, n)
-                elif name == "parity":
-                    o_neg = eval_table(self.odd_members, n_max, -point)
-                    alt = [v if j % 2 == 0 else -v for j, v in enumerate(v_pos)]
-                    lhs = conv_trunc(
-                        o_neg, [a + b for a, b in zip(v_neg, alt)], n_max)
-                    rhs = conv_trunc(alt, v_neg, n_max)
-                    for n in range(n_max + 1):
-                        if lhs[n] != 2 * rhs[n]:
-                            return self._locate(name, n)
-                    if self.all_odd:
-                        for n in range(n_max + 1):
-                            if v_neg[n] != alt[n]:
-                                return self._locate(name, n)
-                elif name == "delta_self":
-                    w_pos = delta_eval_table(self.members, n_max, point, v_pos)
-                    sq = conv_trunc(v_pos, v_pos, n_max)
-                    for n in range(n_max + 1):
-                        if w_pos[n] != sq[n] - v_pos[n]:
-                            return self._locate(name, n)
-                else:
-                    raise ValueError(f"unknown identity {name!r}")
-        return None
+        fails: dict[str, IdentityFailure | None] = dict.fromkeys(
+            ("reflection", "parity", "delta_self"))
+
+        def compare(name: str, point: int, lhs: list[int], rhs: list[int]) -> None:
+            n = _first_diff(lhs, rhs)
+            if n >= 0:
+                fails[name] = self._failure(name, n)
+                if fails[name] is None:
+                    raise InternalError(
+                        f"{name} fails at n={n}, t={point} on the value tables, "
+                        "but its coefficient check finds no differing coefficient")
+
+        for t in range(1, (n_max + 2) // 2 + 1):
+            v_pos = eval_table(self.members, n_max, t)
+            v_neg = eval_table(self.members, n_max, -t)
+            o_pos = eval_table(self.odd_members, n_max, t)
+            o_neg = eval_table(self.odd_members, n_max, -t)
+            if fails["reflection"] is None:
+                rhs = conv_trunc(v_neg, v_pos, n_max)
+                compare("reflection", t, [a + b for a, b in zip(v_pos, v_neg)],
+                        [2 * c for c in rhs])
+            for point, v, v_bar, o_bar in ((t, v_pos, v_neg, o_neg),
+                                           (-t, v_neg, v_pos, o_pos)):
+                if fails["parity"] is None:
+                    alt = [c if j % 2 == 0 else -c for j, c in enumerate(v)]
+                    lhs = conv_trunc(o_bar, [a + b for a, b in zip(v_bar, alt)], n_max)
+                    rhs = conv_trunc(alt, v_bar, n_max)
+                    compare("parity", point, lhs, [2 * c for c in rhs])
+                    if fails["parity"] is None and self.all_odd:
+                        compare("parity", point, v_bar, alt)
+                if fails["delta_self"] is None:
+                    w = delta_eval_table(self.members, n_max, point, v)
+                    sq = conv_trunc(v, v, n_max)
+                    compare("delta_self", point, w, [a - b for a, b in zip(sq, v)])
+        return fails
 
 
 def verify_identities(spec: SetSpec, upto: int, method: str = "eval") -> IdentityReport:
@@ -394,20 +404,18 @@ def verify_identities(spec: SetSpec, upto: int, method: str = "eval") -> Identit
     (see q_series_scaled); (delta_self) D(f_n) as the
     truncated self-convolution.  All comparisons are exact; failures carry
     the first differing (n, coefficient) pair.  The empty set passes
-    everything vacuously.
+    everything vacuously.  An eval-mode failure that the coefficient
+    check cannot place raises InternalError.
     """
     if method not in ("eval", "coeff"):
         raise ValueError("method must be 'eval' or 'coeff'")
     chk = _IdentityChecker(spec, upto)
-    q = None if spec.is_empty else q_series_scaled(spec, upto)
-    results: dict[str, IdentityFailure | None] = {}
-    results["recurrence_weight"] = chk.check_coeff("recurrence_weight", None)
-    results["delta_q"] = chk.check_coeff("delta_q", q)
-    for name in ("reflection", "parity", "delta_self"):
-        if method == "eval":
-            results[name] = chk.check_eval(name)
-        else:
-            results[name] = chk.check_coeff(name, None)
+    results = {name: chk.check_coeff(name) for name in ("recurrence_weight", "delta_q")}
+    if method == "eval":
+        results.update(chk.check_eval())
+    else:
+        results.update((name, chk.check_coeff(name))
+                       for name in ("reflection", "parity", "delta_self"))
     return IdentityReport(spec, upto, method, results)
 
 

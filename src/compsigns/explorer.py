@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._backend import eval_table, first_violation, series_inv_int
 from .compositions import comp_counts, partition_counts
 from .sets import COFINITE, EXPLICIT, REPUNIT, SetSpec, SpecError, e_prime, explicit
-from .sums import sk_fast
+from .sums import normalized_violation, sk_fast
+
+MASK_BUDGET = 22  # enumerate_F scans at most 2^MASK_BUDGET subsets
 
 HORIZON_NOTE = ("horizon-limited: non-negativity beyond the scanned range "
                 "is unverified")
@@ -78,17 +79,7 @@ def verify_cofinite_even_complement(E: SetSpec, upto: int, k_max: int = 3) -> Co
             mismatch = n
             break
 
-    negative = None
-    for k in range(k_max + 1):
-        row = grid.row(k)
-        for n in range(upto + 1):
-            v = row[n] if n % 2 == 0 else -row[n]
-            if v < 0:
-                negative = (k, n)
-                break
-        if negative is not None:
-            break
-    return CofiniteCheck(E, upto, k_max, mismatch, negative)
+    return CofiniteCheck(E, upto, k_max, mismatch, normalized_violation(grid))
 
 
 # -- odd sets with distinct subset sums ----------------------------------------
@@ -182,7 +173,7 @@ def _scan_masks(args: tuple[int, int, int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def enumerate_F(n: int, horizon: int, jobs: int = 1, mask_budget: int = 22) -> EnumerationResult:
+def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
     """Scan all 2^n subsets of {1..n} (the empty set included).
 
     A subset passes when its normalized k = 0 word has no negative entry
@@ -191,8 +182,8 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1, mask_budget: int = 22) -> E
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > mask_budget:
-        raise ValueError(f"n={n} exceeds the 2^{mask_budget}-subset budget")
+    if n > MASK_BUDGET:
+        raise ValueError(f"n={n} exceeds the 2^{MASK_BUDGET}-subset budget")
     if horizon < 4 * n:
         raise ValueError(f"horizon {horizon} too short; need >= {4 * n}")
     if jobs < 1:
@@ -205,6 +196,8 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1, mask_budget: int = 22) -> E
         spans = [(lo, min(lo + chunk, total), n, horizon)
                  for lo in range(0, total, chunk)]
         found: dict[int, int] = {}
+        # imported here: only a pooled scan needs the process machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for block in pool.map(_scan_masks, spans):
                 found.update(block)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import sets
 from .compositions import comp_counts
 from .sets import SetSpec, SpecError
-from .sums import SkGrid, sk_fast
+from .sums import SkGrid, normalized_violation, sk_fast
 
 CONSISTENT = "ConsistentAtHorizon"
 NO_PERIOD = "NoPeriodFound"
@@ -195,15 +195,7 @@ def check_odd_set(spec: SetSpec, upto: int, k_max: int = 4) -> OddSetCheck:
         if v != counts[n]:
             identity_bad = n
             break
-    negative_at = None
-    for k in range(k_max + 1):
-        word = sign_word(grid, k, normalized=True)
-        for n, s in enumerate(word.symbols):
-            if s < 0:
-                negative_at = (k, n)
-                break
-        if negative_at:
-            break
+    negative_at = normalized_violation(grid)
     return OddSetCheck(spec, upto, k_max,
                        identity_bad, negative_at,
                        identity_bad is None and negative_at is None)

@@ -9,6 +9,7 @@ optimization, never a semantic fork.
 import importlib.util
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -135,3 +136,35 @@ def _backend_in_copy(root: Path, so: Path | None) -> str:
 def test_backend_selection(tmp_path, built_so):
     assert _backend_in_copy(tmp_path / "with_so", built_so) == "cython"
     assert _backend_in_copy(tmp_path / "without_so", None) == "python"
+
+
+_PYX_MARK = "# <<<<<<<<<<<<<<"
+
+
+def test_committed_c_matches_pyx():
+    """Each source line Cython quoted in _kernels.c equals that line of the
+    current _kernels.pyx.
+
+    Cython copies the statement it translates into a comment block headed
+    `/* "compsigns/_kernels.pyx":N` and marks the statement's own line
+    with `# <<<<<<<<<<<<<<`.  A code edit to the .pyx that was not followed
+    by regenerating the .c fails here.  Edits confined to comments or
+    docstrings are not caught, nor are edits to lines Cython does not
+    quote, such as bare `cdef` declarations.
+    """
+    pyx = (PACKAGE / "_kernels.pyx").read_text().splitlines()
+    c_text = (PACKAGE / "_kernels.c").read_text()
+    blocks = re.findall(r'/\* "compsigns/_kernels\.pyx":(\d+)\n(.*?)\*/', c_text, re.S)
+    quoted = set()
+    for lineno, body in blocks:
+        marked = [ln for ln in body.splitlines() if ln.endswith(_PYX_MARK)]
+        assert len(marked) == 1, body
+        code = marked[0][len(" * "):-len(_PYX_MARK)].rstrip()
+        n = int(lineno)
+        assert 1 <= n <= len(pyx), n
+        assert code == pyx[n - 1].rstrip(), (n, code, pyx[n - 1])
+        quoted.add(n)
+    # every function header must be among the quoted lines, so a change in
+    # the comment format cannot make this test pass vacuously
+    defs = {i + 1 for i, ln in enumerate(pyx) if ln.startswith("def ")}
+    assert defs and defs <= quoted

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import compsigns
-from compsigns import InternalError, cli, nonperiodic, sums
+from compsigns import InternalError, cli, compositions, nonperiodic, sums
 from compsigns.cli import load_config, main
+from compsigns.sets import parse_spec
 from compsigns.sums import SkGrid, sk_fast
 
 
@@ -138,6 +139,27 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert "internal error: invariant broken on purpose" in out.err
 
 
+def test_unlocatable_identity_failure_exits_4(capsys, monkeypatch):
+    # value tables that disagree with the coefficient table are a kernel
+    # bug: the coefficient check finds nothing to report, and that must not
+    # read as a counterexample
+    real = compositions.eval_table
+
+    def skewed(members, n_max, t):
+        values = list(real(members, n_max, t))
+        if t == 1:
+            values[5] += 1
+        return values
+
+    monkeypatch.setattr(compositions, "eval_table", skewed)
+    with pytest.raises(InternalError):
+        compositions.verify_identities(parse_spec("{1,2,5}"), 20)
+    code, out = run(capsys, "verify", "--suite", "section2", "-A", "{1,2,5}", "-N", "20")
+    assert code == 4
+    assert out.out == ""
+    assert "internal error" in out.err
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def crash(args):
         return 1 // 0
@@ -151,13 +173,15 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
 
 def test_numeric_stack_loaded_only_by_the_certifier():
     # a fresh process: numpy and mpmath stay out of sys.modules through
-    # imports and a non-certifier run, and come in with the certifier
+    # imports and a non-certifier run, and come in with the certifier;
+    # the process-pool machinery stays out too
     script = textwrap.dedent("""
         import sys
         import compsigns.cli
         import compsigns.nonperiodic
         assert compsigns.cli.main(["counts", "-A", "{1,2}", "-N", "5"]) == 0
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
+        print("pool", "concurrent.futures.process" in sys.modules)
         assert compsigns.cli.main(["nonperiodic", "-p", "1,1,1"]) == 2
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
     """)
@@ -168,6 +192,7 @@ def test_numeric_stack_loaded_only_by_the_certifier():
         capture_output=True, text=True, check=True)
     loaded = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded ")]
     assert loaded == ["loaded []", "loaded ['mpmath', 'numpy']"]
+    assert "pool False" in proc.stdout.splitlines()
 
 
 def test_config_file(tmp_path, capsys):

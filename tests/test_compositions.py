@@ -204,7 +204,7 @@ def test_verify_methods_agree():
         verify_identities(parse_spec("{1}"), 5, method="magic")
 
 
-def test_verify_coeff_mode_reports_tampered_table():
+def test_verify_coeff_mode_reports_tampered_table(monkeypatch):
     # coeff mode reads the cached polynomial table, so corrupt that
     spec = parse_spec("{1,2}")
     upto = 8
@@ -212,12 +212,27 @@ def test_verify_coeff_mode_reports_tampered_table():
     polys[3] = polys[3] + IntPoly((0, 0, 1))
     chk = _IdentityChecker(spec, upto)
     chk._table = CompPolyTable(spec, upto, tuple(polys))
-    failure = chk.check_coeff("reflection", None)
+    failure = chk.check_coeff("reflection")
     assert isinstance(failure, IdentityFailure)
     assert 0 <= failure.n <= upto
     assert failure.coeff_index >= 0
     # the reported coefficient really differs at the reported n
     assert chk._coeff_reflection(failure.n) == failure.coeff_index
+    # eval mode sees the same corruption when its value tables are read
+    # off the tampered polynomials: it fails the same identities
+    real = compositions.eval_table
+    monkeypatch.setattr(compositions, "eval_table", lambda members, n_max, t: (
+        [polys[n](t) for n in range(n_max + 1)] if members is chk.members
+        else real(members, n_max, t)))
+    monkeypatch.setattr(compositions, "delta_eval_table", lambda members, n_max, t, v: (
+        [delta_op(polys[n])(t) for n in range(n_max + 1)]))
+    by_eval = chk.check_eval()
+    by_coeff = {name: chk.check_coeff(name) for name in by_eval}
+    failing = {name for name, f in by_eval.items() if f}
+    assert failing == {name for name, f in by_coeff.items() if f}
+    assert failing == {"reflection", "parity", "delta_self"}
+    for name in failing:
+        assert chk._failure(name, by_eval[name].n) == by_eval[name]
 
 
 def test_verify_eval_mode_reports_wrong_odd_subset():
@@ -225,10 +240,28 @@ def test_verify_eval_mode_reports_wrong_odd_subset():
     spec = parse_spec("{1,2}")
     chk = _IdentityChecker(spec, 8)
     chk.odd_members = [2]
-    failure = chk.check_eval("parity")
+    failure = chk.check_eval()["parity"]
     assert isinstance(failure, IdentityFailure)
     assert failure.identity == "parity"
     assert chk._coeff_parity(failure.n) == failure.coeff_index
+    # random wrong odd subsets: both modes fail the same identities, and
+    # every eval-mode failure is placed at a real coefficient
+    rng = random.Random(113)
+    failed = 0
+    for _ in range(12):
+        spec = explicit(rng.sample(range(1, 10), rng.randint(1, 4)))
+        chk = _IdentityChecker(spec, 12)
+        chk.odd_members = sorted(rng.sample(range(1, 14), rng.randint(0, 4)))
+        by_eval = chk.check_eval()
+        by_coeff = {name: chk.check_coeff(name) for name in by_eval}
+        assert ({name for name, f in by_eval.items() if f}
+                == {name for name, f in by_coeff.items() if f}), chk.odd_members
+        for fail in by_eval.values():
+            if fail is not None:
+                failed += 1
+                assert fail.coeff_index >= 0
+                assert chk._failure(fail.identity, fail.n) == fail
+    assert failed >= 6
 
 
 def test_csv_exports():

@@ -1,5 +1,6 @@
 """Tests for the verification experiments and subset scans."""
 
+import concurrent.futures
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -140,6 +141,8 @@ def test_enumerate_parallel_matches_serial():
 def test_enumerate_guards():
     with pytest.raises(ValueError):
         enumerate_F(30, 200)
+    with pytest.raises(ValueError, match=r"^n=23 exceeds the 2\^22-subset budget$"):
+        enumerate_F(23, 200)
     with pytest.raises(ValueError):
         enumerate_F(8, 10)  # horizon < 4n
     with pytest.raises(ValueError):
@@ -155,7 +158,8 @@ def test_enumerate_jobs_capped_at_cpu_count(monkeypatch):
             requested.append(max_workers)
             super().__init__(max_workers=1)
 
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", FakePool)
+    # enumerate_F imports the pool class only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
     serial = enumerate_F(8, 64)
     assert enumerate_F(8, 64, jobs=10**9) == serial
