@@ -4,8 +4,10 @@ Every capability is exposed through one subcommand with reproducible,
 machine-readable output: identical command and inputs give byte-identical
 primary output.  Exit codes: 0 success/pass, 1 property violated (a
 counterexample is emitted), 2 inconclusive, 3 usage error, 4 internal
-error (a broken invariant or any other unexpected exception inside
-compsigns, with its traceback on stderr: a bug, never a verdict).
+error: a bug, never a verdict, reported on stderr alone.  A broken
+invariant (routes that disagree under ``sk --route all``, a non-integer
+value from an exact division) prints its message; any other unexpected
+exception inside compsigns prints its traceback.
 
 With ``--out DIR`` the primary output is also written into DIR next to a
 ``run_manifest.json`` recording the command line, parameters, sha256
@@ -51,7 +53,7 @@ from .nonperiodic import (
 from .poly import IntPoly
 from .sets import SetSpec, SpecError, parse_spec
 from .signs import check_range_set_pattern, detect_period, sign_word
-from .sums import ROUTES, IntegralityError, grid_csv, sk_fast
+from .sums import ROUTES, grid_csv, sk_fast
 
 SCHEMA = "compsigns/1"
 
@@ -214,9 +216,8 @@ def _cmd_sk(args):
         for n in range(args.N + 1):
             vals = {name: grids[name].value(k, n) for name in names}
             if len(set(vals.values())) != 1:
-                lines = [f"routes disagree at k={k} n={n}:"]
-                lines += [f"  {name}: {vals[name]}" for name in names]
-                return 1, [("violation.txt", "\n".join(lines) + "\n")]
+                shown = ", ".join(f"{name}={vals[name]}" for name in names)
+                raise InternalError(f"routes disagree at k={k} n={n}: {shown}")
     return 0, [("grid.csv", grid_csv(first))]
 
 
@@ -381,9 +382,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    except IntegralityError as exc:
-        print(f"integrality violated: {exc}", file=sys.stderr)
-        return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

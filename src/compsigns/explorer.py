@@ -12,7 +12,9 @@ Four families live here:
 * enumerate_F: scan every subset of {1..N} for non-negativity of the
   normalized k = 0 word up to a horizon.  Row 0 decides membership:
   non-negativity there propagates to every k by the weighted-moment
-  identity, and k = 0 is itself one of the required rows.
+  identity, and k = 0 is itself one of the required rows.  The result
+  keeps one datum per subset, indexed by its bit mask: the first
+  failing n, or None for a pass.
 * union_relation_check, optimal_superset_search and
   repunit_extension_experiment: the reciprocal-series relation for
   disjoint unions, a horizon-limited repair search for failing sets,
@@ -143,21 +145,13 @@ def verify_distinct_subset_sums(B: SetSpec, upto: int) -> SubsetSumCheck:
 
 
 @dataclass(frozen=True)
-class SubsetVerdict:
-    mask: int                      # bit i-1 set = element i present
-    first_violation: int | None    # smallest failing n, if any
-
-    @property
-    def k0_ok(self) -> bool:
-        return self.first_violation is None
-
-
-@dataclass(frozen=True)
 class EnumerationResult:
     n: int
     horizon: int
     count: int                     # subsets with no violation <= horizon
-    verdicts: tuple[SubsetVerdict, ...]  # ordered by mask
+    # indexed by mask (bit i-1 set = element i present): the smallest
+    # failing n, or None when the subset passes up to the horizon
+    first_violations: tuple[int | None, ...]
     note: str = HORIZON_NOTE
 
 
@@ -165,12 +159,12 @@ def _mask_members(mask: int, n: int) -> list[int]:
     return [i + 1 for i in range(n) if mask >> i & 1]
 
 
-def _scan_masks(args: tuple[int, int, int, int]) -> list[tuple[int, int]]:
+def _scan_masks(args: tuple[int, int, int, int]) -> list[int | None]:
     start, stop, n, horizon = args
-    out = []
-    for mask in range(start, stop):
-        out.append((mask, first_violation(_mask_members(mask, n), horizon)))
-    return out
+    found = (first_violation(_mask_members(mask, n), horizon)
+             for mask in range(start, stop))
+    # the kernel reports a pass as -1; nothing past this point sees it
+    return [None if fv < 0 else fv for fv in found]
 
 
 def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
@@ -195,18 +189,16 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
         chunk = (total + jobs - 1) // jobs
         spans = [(lo, min(lo + chunk, total), n, horizon)
                  for lo in range(0, total, chunk)]
-        found: dict[int, int] = {}
         # imported here: only a pooled scan needs the process machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for block in pool.map(_scan_masks, spans):
-                found.update(block)
-        raw = [(m, found[m]) for m in range(total)]
+            # map keeps span order and the spans tile 0..total ascending
+            first_violations = list(itertools.chain.from_iterable(
+                pool.map(_scan_masks, spans)))
     else:
-        raw = _scan_masks((0, total, n, horizon))
-    verdicts = tuple(SubsetVerdict(m, None if v < 0 else v) for m, v in raw)
-    count = sum(1 for v in verdicts if v.k0_ok)
-    return EnumerationResult(n, horizon, count, verdicts)
+        first_violations = _scan_masks((0, total, n, horizon))
+    count = first_violations.count(None)
+    return EnumerationResult(n, horizon, count, tuple(first_violations))
 
 
 def enumeration_json(result: EnumerationResult) -> dict:
@@ -217,21 +209,21 @@ def enumeration_json(result: EnumerationResult) -> dict:
         "note": result.note,
         "verdicts": [
             {
-                "mask": v.mask,
-                "members": _mask_members(v.mask, result.n),
-                "k0_ok": v.k0_ok,
-                "first_violation": v.first_violation,
+                "mask": mask,
+                "members": _mask_members(mask, result.n),
+                "k0_ok": fv is None,
+                "first_violation": fv,
             }
-            for v in result.verdicts
+            for mask, fv in enumerate(result.first_violations)
         ],
     }
 
 
 def verdicts_csv(result: EnumerationResult) -> str:
     lines = ["mask,k0_ok,first_violation"]
-    for v in result.verdicts:
-        fv = "" if v.first_violation is None else str(v.first_violation)
-        lines.append(f"{v.mask},{str(v.k0_ok).lower()},{fv}")
+    for mask, fv in enumerate(result.first_violations):
+        text = "" if fv is None else str(fv)
+        lines.append(f"{mask},{str(fv is None).lower()},{text}")
     return "\n".join(lines) + "\n"
 
 

@@ -107,7 +107,6 @@ class RootProfile:
     poly: IntPoly
     precision: int
     roots: tuple[Root, ...]
-    clusters: tuple[tuple[int, ...], ...]  # index groups, numerically merged
 
     @property
     def degree(self) -> int:
@@ -250,15 +249,6 @@ def _as_monic_mpc(p: IntPoly) -> list[mp.mpc]:
     return [mp.mpc(c) / lead for c in p.coeffs]
 
 
-def _poly_eval(coeffs: list[mp.mpc], x: mp.mpc) -> mp.mpc:
-    import mpmath as mp
-
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _seed_roots(factor: IntPoly) -> list[mp.mpc]:
     import mpmath as mp
     import numpy as np
@@ -283,7 +273,7 @@ def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]
     deg = factor.degree
     if deg == 1:
         return [mp.mpf(-factor.coeffs[0]) / factor.coeffs[1]]
-    coeffs = _as_monic_mpc(factor)
+    coeffs = _as_monic_mpc(factor)[::-1]  # mp.polyval wants the lead first
     roots = _seed_roots(factor)
     # distinct seeds are required; nudge collisions apart
     for i in range(deg):
@@ -294,7 +284,7 @@ def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]
     for _ in range(budget):
         worst = mp.mpf(0)
         for i in range(deg):
-            num = _poly_eval(coeffs, roots[i])
+            num = mp.polyval(coeffs, roots[i])
             den = mp.mpc(1)
             for j in range(deg):
                 if j != i:
@@ -349,9 +339,8 @@ def roots_numeric(
 
     Multiplicity structure comes from the exact square-free decomposition,
     so only square-free factors are refined numerically.  Conjugate
-    symmetry is enforced exactly, every root satisfies the residual bound
-    |p(root)| <= residual_tol * (1 + |root|)^deg(p), and roots closer than
-    2 * residual_tol are merged into one cluster.
+    symmetry is enforced exactly, and every root satisfies the residual
+    bound |p(root)| <= residual_tol * (1 + |root|)^deg(p).
     """
     import mpmath as mp
 
@@ -362,10 +351,11 @@ def roots_numeric(
     with mp.workprec(precision):
         tol = mp.mpf(residual_tol)
         found: list[Root] = []
+        lead_first = [mp.mpc(c) for c in reversed(p.coeffs)]
         for factor, mult in yun_squarefree(p):
             raw = _durand_kerner(factor, precision, max_iterations)
             for r in _enforce_conjugates(raw, tol):
-                res = abs(_poly_eval([mp.mpc(c) for c in p.coeffs], r))
+                res = abs(mp.polyval(lead_first, r))
                 bound = tol * (1 + abs(r)) ** p.degree
                 if res > bound:
                     raise RootConvergenceError(
@@ -373,17 +363,7 @@ def roots_numeric(
                         f"{mp.nstr(r, 8)}")
                 found.append(Root(r, mult, res))
         found.sort(key=lambda rt: (rt.value.real, rt.value.imag))
-        clusters: list[list[int]] = []
-        merge_eps = 2 * tol
-        for idx, rt in enumerate(found):
-            for group in clusters:
-                if abs(found[group[0]].value - rt.value) <= merge_eps:
-                    group.append(idx)
-                    break
-            else:
-                clusters.append([idx])
-        return RootProfile(p, precision, tuple(found),
-                           tuple(tuple(g) for g in clusters))
+        return RootProfile(p, precision, tuple(found))
 
 
 # -- the certificate ----------------------------------------------------------

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import InternalError
 from ._backend import conv_trunc, sk_rows
 from .compositions import comp_polys, q_series_scaled
 from .poly import delta_op
 from .sets import SetSpec
 
 
-class IntegralityError(ValueError):
+class IntegralityError(InternalError):
     """A rational route produced a non-integer value (always a bug)."""
 
 

@@ -193,12 +193,11 @@ def test_c10_long_word_no_period():
 def test_c11_subset_scan():
     res = enumerate_F(10, 200)
     assert res.count >= 2**5
-    v12 = res.verdicts[0b11]
-    assert not v12.k0_ok and v12.first_violation == 3
+    assert res.first_violations[0b11] == 3  # {1,2} fails, first at n = 3
     odd_masks = [m for m in range(1, 1 << 10)
                  if all(m >> i & 1 == 0 for i in range(1, 10, 2))]
     assert len(odd_masks) == 31
-    assert all(res.verdicts[m].k0_ok for m in odd_masks)
+    assert all(res.first_violations[m] is None for m in odd_masks)
 
 
 @criterion(12, "even-range probe consistent at horizon (conjecture only)")

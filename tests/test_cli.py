@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import alt_moment_sum
+
 import compsigns
 from compsigns import InternalError, cli, compositions, nonperiodic, sums
 from compsigns.cli import load_config, main
@@ -56,7 +58,7 @@ def test_sk_all_routes_agree(capsys):
     assert len(set(results)) == 1
 
 
-def test_sk_route_disagreement_exits_1(capsys, monkeypatch):
+def test_sk_route_disagreement_exits_4(capsys, monkeypatch):
     def tampered(spec, k_max, n_max):
         grid = sk_fast(spec, k_max, n_max)
         rows = [list(r) for r in grid.values]
@@ -66,8 +68,28 @@ def test_sk_route_disagreement_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(sums.ROUTES, "fast", tampered)
     code, out = run(capsys, "sk", "-A", "{1,2}", "-K", "1", "-N", "6",
                     "--route", "all")
-    assert code == 1
-    assert "routes disagree at k=0 n=2" in out.out
+    assert code == 4
+    assert out.out == ""
+    assert "routes disagree at k=0 n=2" in out.err
+
+
+def test_integrality_error_exits_4(capsys, monkeypatch):
+    # a q-series no composition table could produce leaves a remainder in
+    # the q-route's exact division: a bug, not a counterexample
+    real = sums.q_series_scaled
+
+    def perturbed(spec, order):
+        m, q = real(spec, order)
+        return m, q[:3] + [q[3] + 1] + q[4:]
+
+    monkeypatch.setattr(sums, "q_series_scaled", perturbed)
+    with pytest.raises(sums.IntegralityError):
+        sums.sk_via_q(parse_spec("{2}"), 1, 6)
+    code, out = run(capsys, "sk", "-A", "{2}", "-K", "1", "-N", "6",
+                    "--route", "q")
+    assert code == 4
+    assert out.out == ""
+    assert "internal error: S_1(" in out.err
 
 
 def test_signs_word_and_detect(capsys):
@@ -232,6 +254,35 @@ def test_enumerate_output(capsys):
     code, out = run(capsys, "enumerate", "-N", "8", "--horizon", "32", "--jobs", "0")
     assert code == 3
     assert "jobs" in out.err
+
+
+def test_enumerate_stdout_bytes(capsys):
+    # all of stdout rebuilt from the brute-force oracle: the JSON document,
+    # then the CSV, byte for byte as a streaming writer would have to print
+    n, horizon = 5, 20
+    verdicts, rows = [], ["mask,k0_ok,first_violation"]
+    for mask in range(1 << n):
+        members = [i + 1 for i in range(n) if mask >> i & 1]
+        fv = next((m for m in range(horizon + 1)
+                   if (-1) ** m * alt_moment_sum(members, 0, m) < 0), None)
+        verdicts.append({"mask": mask, "members": members,
+                         "k0_ok": fv is None, "first_violation": fv})
+        rows.append(f"{mask},true," if fv is None else f"{mask},false,{fv}")
+    blob = {
+        "schema": "compsigns/1",
+        "n": n,
+        "horizon": horizon,
+        "count": sum(v["k0_ok"] for v in verdicts),
+        "note": ("horizon-limited: non-negativity beyond the scanned range "
+                 "is unverified"),
+        "verdicts": verdicts,
+    }
+    want = (json.dumps(blob, indent=2, sort_keys=True) + "\n"
+            + "\n".join(rows) + "\n")
+    code, out = run(capsys, "enumerate", "-N", str(n), "--horizon", str(horizon))
+    assert code == 0
+    assert out.out == want
+    assert 0 < blob["count"] < 1 << n
 
 
 def test_construct_and_rejection(capsys):

@@ -14,7 +14,6 @@ from compsigns.explorer import (
     HORIZON_NOTE,
     CofiniteCheck,
     EnumerationResult,
-    SubsetVerdict,
     construct_distinct_subset_sums,
     enumerate_F,
     enumeration_json,
@@ -107,22 +106,21 @@ def test_verify_subset_sums_oracle():
 
 def test_enumerate_small_against_oracle():
     res = enumerate_F(4, 16)
-    assert len(res.verdicts) == 16
-    for v in res.verdicts:
-        members = [i + 1 for i in range(4) if v.mask >> i & 1]
+    assert len(res.first_violations) == 16
+    for mask, fv in enumerate(res.first_violations):
+        members = [i + 1 for i in range(4) if mask >> i & 1]
         expect = None
         for n in range(17):
             if (-1) ** n * alt_moment_sum(members, 0, n) < 0:
                 expect = n
                 break
-        assert v.first_violation == expect
-        assert v.k0_ok == (expect is None)
+        assert fv == expect  # also None exactly when the oracle finds no failure
 
 
 def test_enumerate_anchors():
     res = enumerate_F(6, 40)
-    assert res.verdicts[0].k0_ok  # empty set
-    assert res.verdicts[0b11].first_violation == 3  # {1,2}
+    assert res.first_violations[0] is None  # empty set
+    assert res.first_violations[0b11] == 3  # {1,2}
     assert res.count >= 2 ** ((6 + 1) // 2)
     assert res.note == HORIZON_NOTE
 
