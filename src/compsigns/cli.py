@@ -30,6 +30,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import InternalError, __version__
 from .compositions import comp_polys, counts_csv, triangle_csv, verify_identities
@@ -43,17 +44,15 @@ from .explorer import (
     verify_cofinite_even_complement,
     verify_distinct_subset_sums,
 )
-from .nonperiodic import (
-    INCONCLUSIVE,
-    NOT_EVENTUALLY_PERIODIC,
-    CertConfig,
-    check_nonperiodic,
-    check_set_nonperiodic,
-)
 from .poly import IntPoly
 from .sets import SetSpec, SpecError, parse_spec
 from .signs import check_range_set_pattern, detect_period, sign_word
 from .sums import ROUTES, grid_csv, sk_fast
+
+# the certifier is imported by the two functions that use it, so that no
+# other subcommand pays for building its classes at start-up
+if TYPE_CHECKING:
+    from .nonperiodic import CertConfig
 
 SCHEMA = "compsigns/1"
 
@@ -87,6 +86,8 @@ def _num(text: str) -> float:
 
 
 def load_config(path: str | Path, exact: bool = False) -> CertConfig:
+    from .nonperiodic import CertConfig
+
     kv: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -284,6 +285,13 @@ def _cmd_verify(args):
 
 
 def _cmd_nonperiodic(args):
+    from .nonperiodic import (
+        NOT_EVENTUALLY_PERIODIC,
+        CertConfig,
+        check_nonperiodic,
+        check_set_nonperiodic,
+    )
+
     if bool(args.A) == bool(args.p):
         raise SpecError("nonperiodic needs exactly one of -A or -p")
     config = (load_config(args.config, exact=args.exact) if args.config

@@ -75,9 +75,9 @@ def verify_cofinite_even_complement(E: SetSpec, upto: int, k_max: int = 3) -> Co
     counts = comp_counts(eprime, upto)
 
     mismatch = None
+    row = grid.normalized(0)
     for n in range(1, upto + 1):
-        lhs = grid.value(0, n) if n % 2 == 0 else -grid.value(0, n)
-        if lhs != counts[n] + counts[n - 1]:
+        if row[n] != counts[n] + counts[n - 1]:
             mismatch = n
             break
 
@@ -130,11 +130,10 @@ class SubsetSumCheck:
 def verify_distinct_subset_sums(B: SetSpec, upto: int) -> SubsetSumCheck:
     """(-1)^n S_{A,0}(n) = p_B(n) for n <= upto, A the subset-sum set."""
     a_spec = construct_distinct_subset_sums(B)
-    row = sk_fast(a_spec, 0, upto).row(0)
+    row = sk_fast(a_spec, 0, upto).normalized(0)
     parts = partition_counts(B, upto)
     mismatch = None
-    for n in range(upto + 1):
-        lhs = row[n] if n % 2 == 0 else -row[n]
+    for n, lhs in enumerate(row):
         if lhs != parts[n]:
             mismatch = n
             break

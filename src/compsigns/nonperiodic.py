@@ -49,8 +49,7 @@ from typing import TYPE_CHECKING
 
 from .poly import (
     IntPoly,
-    cyclotomic,
-    monic_divides,
+    cyclotomic_divides,
     monic_from_power_sums,
     power_sums,
     primitive,
@@ -445,7 +444,7 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
             if p.degree > config.exact_max_degree:
                 notes.append(NOTE_EXACT_SKIPPED)
             else:
-                exact_test = _exact_unity_screen(p, 2 * p.degree * (p.degree - 1))
+                exact_test = _exact_unity_screen(p, bound)
                 if exact_test.divisor_order is not None:
                     reasons.append(REASON_EXACT_DIVISOR)
 
@@ -473,12 +472,15 @@ def ratio_poly(p: IntPoly) -> IntPoly:
 
 
 def _exact_unity_screen(p: IntPoly, degree_bound: int) -> ExactUnityTest:
-    """Try to divide the ratio polynomial by every admissible cyclotomic.
+    """Test the ratio polynomial for every admissible cyclotomic factor.
 
     If zeta had finite order N then totient(N) <= degree_bound, and
     zeta^2 would be a primitive root of some order M >= 2 dividing N with
     totient(M) <= degree_bound; its minimal polynomial (the M-th
-    cyclotomic) would divide R.  No divisor found = exact proof that
+    cyclotomic) would divide R.  Each order is decided exactly by
+    poly.cyclotomic_divides, which folds R mod x^M - 1 and builds no
+    cyclotomic polynomial.  Orders are visited ascending and the scan
+    stops at the first divisor.  No divisor found = exact proof that
     hypothesis (iii) holds, with no numerics involved.
     """
     ratio = ratio_poly(p)
@@ -490,7 +492,7 @@ def _exact_unity_screen(p: IntPoly, degree_bound: int) -> ExactUnityTest:
         if m < 2:
             continue
         checked += 1
-        if monic_divides(cyclotomic(m), ratio):
+        if cyclotomic_divides(m, ratio):
             divisor = m
             break
     return ExactUnityTest(ratio.degree, checked, divisor)

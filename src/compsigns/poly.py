@@ -8,8 +8,9 @@ Besides ring operations this module provides the delta operator
 D = t * d/dt, truncated rational power series with exact inversion, and
 the computer-algebra primitives used by the non-periodicity certifier:
 rational gcd, Yun square-free decomposition, root power sums and Newton's
-identities, cyclotomic polynomials, and enumeration of all N whose
-totient is below a bound.
+identities, an exact test for a cyclotomic factor that never builds the
+cyclotomic polynomial, and enumeration of all N whose totient is below a
+bound.
 
 The resultant section (Sylvester determinants and interpolation in x) is
 a test oracle only.  The certifier builds its ratio polynomial from power
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import prod
 
 from . import InternalError
 from ._backend import conv, conv_trunc
@@ -130,29 +130,6 @@ def delta_op(p: IntPoly, k: int = 1) -> IntPoly:
 
 
 # -- exact division and gcd ------------------------------------------------
-
-
-def monic_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Integer quotient and remainder for a monic divisor b."""
-    if b.is_zero or b.lead != 1:
-        raise ValueError("divisor must be monic")
-    db = b.degree
-    r = list(a.coeffs)
-    if a.degree < db:
-        return IntPoly(), a
-    q = [0] * (a.degree - db + 1)
-    for i in range(a.degree - db, -1, -1):
-        c = r[i + db]
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b.coeffs):
-                r[i + j] -= c * bj
-    return IntPoly(q), IntPoly(r[:db])
-
-
-def monic_divides(b: IntPoly, a: IntPoly) -> bool:
-    """True if the monic polynomial b divides a exactly."""
-    return monic_divmod(a, b)[1].is_zero
 
 
 def content(p: IntPoly) -> int:
@@ -418,9 +395,7 @@ def _interpolate_int(xs: list[int], ys: list[int]) -> IntPoly:
     return IntPoly(tuple(ints))
 
 
-# -- cyclotomics and totients ----------------------------------------------
-
-_CYCLO_CACHE: dict[int, IntPoly] = {1: IntPoly((-1, 1))}
+# -- cyclotomic factors and totients ------------------------------------------
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -438,53 +413,54 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _compose_power(f: IntPoly, k: int) -> IntPoly:
-    """f(x^k)."""
-    coeffs = [0] * (f.degree * k + 1)
-    coeffs[::k] = f.coeffs
-    return IntPoly(tuple(coeffs))
+def cyclotomic_divides(m: int, r: IntPoly) -> bool:
+    """True if the m-th cyclotomic polynomial Phi_m divides r, exactly,
+    without building Phi_m.
 
-
-def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, exact.
-
-    Phi_n(x) = Phi_r(x^(n/r)) with r the square-free kernel of n, and for
-    square-free r = s*p with p the largest prime factor,
-    Phi_r(x) = Phi_s(x^p) / Phi_s(x), one exact monic division.
+    Phi_m is irreducible, so it divides r iff r(zeta) = 0 for a primitive
+    m-th root of unity zeta.  Folding r mod x^m - 1 keeps that value.  By
+    the CRT over x^m - 1 = prod_{d | m} Phi_d, multiplying the fold by
+    x^(m/p) - 1 for every prime p | m kills the Phi_d components with d a
+    proper divisor of m (each such d divides some m/p) and leaves the Phi_m
+    component times a factor nonzero at zeta.  So the product is zero iff
+    Phi_m | r.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    got = _CYCLO_CACHE.get(n)
-    if got is not None:
-        return got
-    primes = _prime_factors(n)
-    rad = prod(primes)
-    if rad < n:
-        phi = _compose_power(cyclotomic(rad), n // rad)
-    else:
-        inner = cyclotomic(n // primes[-1])
-        phi, rem = monic_divmod(_compose_power(inner, primes[-1]), inner)
-        if not rem.is_zero:
-            raise InternalError(
-                f"cyclotomic({n}): Phi_{n // primes[-1]} leaves a remainder")
-    _CYCLO_CACHE[n] = phi
-    return phi
+    if m < 1:
+        raise ValueError("m must be positive")
+    s = [0] * m
+    for i, c in enumerate(r.coeffs):
+        s[i % m] += c
+    for p in _prime_factors(m):
+        k = m // p
+        s = [s[j - k] - s[j] for j in range(m)]
+    return not any(s)
 
 
 def totient_candidates(d: int) -> list[int]:
     """All N >= 1 with phi(N) <= d, ascending.
 
-    phi(N) >= sqrt(N/2) for every N, so scanning N <= 2*d^2 is complete.
+    Depth-first over prime factorizations with the primes ascending:
+    phi(p^e) = (p-1) p^(e-1), so only primes p <= d+1 occur, and a branch
+    stops at the first prime whose factor p-1 would push phi past d.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    limit = 2 * d * d
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return [n for n in range(1, limit + 1) if phi[n] <= d]
+    primes = [p for p in range(2, d + 2) if _prime_factors(p) == [p]]
+    out = []
+
+    def walk(start: int, n: int, phi: int) -> None:
+        out.append(n)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            n_p, phi_p = n * p, phi * (p - 1)
+            if phi_p > d:
+                break
+            while phi_p <= d:
+                walk(i + 1, n_p, phi_p)
+                n_p, phi_p = n_p * p, phi_p * p
+
+    walk(0, 1, 1)
+    return sorted(out)
 
 
 # -- truncated rational power series ----------------------------------------

@@ -66,11 +66,8 @@ def sign_word(grid: SkGrid, k: int, normalized: bool = True) -> SignWord:
     """Sign word of row k: sign((-1)^n * S) if normalized, else sign(S)."""
     if not 0 <= k <= grid.K:
         raise ValueError(f"k={k} outside grid rows 0..{grid.K}")
-    row = grid.row(k)
-    if normalized:
-        syms = tuple(_sign(v if n % 2 == 0 else -v) for n, v in enumerate(row))
-    else:
-        syms = tuple(_sign(v) for v in row)
+    row = grid.normalized(k) if normalized else grid.row(k)
+    syms = tuple(_sign(v) for v in row)
     return SignWord(syms, grid.set, k, normalized)
 
 
@@ -190,8 +187,7 @@ def check_odd_set(spec: SetSpec, upto: int, k_max: int = 4) -> OddSetCheck:
     grid = sk_fast(spec, k_max, upto)
     counts = comp_counts(spec, upto)
     identity_bad = None
-    for n in range(upto + 1):
-        v = grid.value(0, n) if n % 2 == 0 else -grid.value(0, n)
+    for n, v in enumerate(grid.normalized(0)):
         if v != counts[n]:
             identity_bad = n
             break

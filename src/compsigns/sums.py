@@ -50,6 +50,10 @@ class SkGrid:
     def value(self, k: int, n: int) -> int:
         return self.values[k][n]
 
+    def normalized(self, k: int) -> tuple[int, ...]:
+        """Row k in the (-1)^n frame: (-1)^n * S_k(n) for n = 0..N."""
+        return tuple(v if n % 2 == 0 else -v for n, v in enumerate(self.values[k]))
+
 
 def sk_direct(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
     """Reference route: coefficient tables, k-fold delta, evaluation at -1."""
@@ -156,9 +160,7 @@ def _check_kn(k_max: int, n_max: int) -> None:
 def normalized_violation(grid: SkGrid) -> tuple[int, int] | None:
     """First (k, n) with (-1)^n * S_k(n) < 0, or None if none exists."""
     for k in range(grid.K + 1):
-        row = grid.values[k]
-        for n in range(grid.N + 1):
-            v = row[n] if n % 2 == 0 else -row[n]
+        for n, v in enumerate(grid.normalized(k)):
             if v < 0:
                 return (k, n)
     return None

@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here enumerates actual tuples, deliberately avoiding the
-recurrences used by the package, so agreement is meaningful.
+Everything here enumerates actual tuples, sieves, or divides polynomials
+by schoolbook long division, deliberately avoiding the recurrences and
+shortcuts used by the package, so agreement is meaningful.
 """
 
 from collections import Counter
@@ -57,13 +58,30 @@ def alt_moment_sum(parts, k, n) -> int:
     return sum((-1) ** i * i**k * c for i, c in tri.items())
 
 
+def monic_divmod(a, b):
+    """Quotient and remainder of the integer polynomial a by the monic b,
+    both IntPoly, by schoolbook long division."""
+    from compsigns.poly import IntPoly
+
+    assert b.coeffs and b.coeffs[-1] == 1, "divisor must be monic"
+    db = b.degree
+    r = list(a.coeffs)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1 - db, -1, -1):
+        c = q[i] = r[i + db]
+        if c:
+            for j, bj in enumerate(b.coeffs):
+                r[i + j] -= c * bj
+    return IntPoly(q), IntPoly(r[:db])
+
+
 _CYCLO_BY_DIVISION = {}
 
 
 def cyclotomic_by_division(n):
     """The n-th cyclotomic polynomial as x^n - 1 divided by every Phi_d
     with d a proper divisor of n (long division, cached)."""
-    from compsigns.poly import IntPoly, monic_divmod
+    from compsigns.poly import IntPoly
 
     got = _CYCLO_BY_DIVISION.get(n)
     if got is not None:
@@ -75,3 +93,22 @@ def cyclotomic_by_division(n):
             assert rem.is_zero
     _CYCLO_BY_DIVISION[n] = num
     return num
+
+
+def cyclotomic_divides_by_division(m, r):
+    """True if the m-th cyclotomic polynomial divides r, by trial division."""
+    return monic_divmod(r, cyclotomic_by_division(m))[1].is_zero
+
+
+def totient_candidates_by_sieve(d):
+    """All N >= 1 with phi(N) <= d, ascending, from a totient sieve.
+
+    phi(N) >= sqrt(N/2) for every N, so sieving N <= 2*d^2 is complete.
+    """
+    limit = 2 * d * d
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return [n for n in range(1, limit + 1) if phi[n] <= d]

@@ -194,14 +194,16 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
 
 
 def test_numeric_stack_loaded_only_by_the_certifier():
-    # a fresh process: numpy and mpmath stay out of sys.modules through
-    # imports and a non-certifier run, and come in with the certifier;
-    # the process-pool machinery stays out too
+    # a fresh process: a non-certifier run loads neither the certifier
+    # module nor numpy and mpmath, and importing the certifier still leaves
+    # the numeric stack out until it runs; the process-pool machinery
+    # stays out too
     script = textwrap.dedent("""
         import sys
         import compsigns.cli
-        import compsigns.nonperiodic
         assert compsigns.cli.main(["counts", "-A", "{1,2}", "-N", "5"]) == 0
+        assert "compsigns.nonperiodic" not in sys.modules
+        import compsigns.nonperiodic
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
         print("pool", "concurrent.futures.process" in sys.modules)
         assert compsigns.cli.main(["nonperiodic", "-p", "1,1,1"]) == 2

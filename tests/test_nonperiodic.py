@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cyclotomic_by_division
+from oracles import (
+    cyclotomic_by_division,
+    cyclotomic_divides_by_division,
+    totient_candidates_by_sieve,
+)
 
 from compsigns import nonperiodic
 from compsigns.nonperiodic import (
@@ -31,13 +35,14 @@ from compsigns.nonperiodic import (
     reciprocal_sign_prefix,
     roots_numeric,
 )
-from compsigns.poly import IntPoly, cyclotomic, primitive, resultant_in_y
+from compsigns.poly import IntPoly, primitive, resultant_in_y
 from compsigns.sets import SpecError, explicit, parse_spec
 from compsigns.signs import NO_PERIOD, SignWord, detect_period
 from compsigns.sums import sk_fast
 
 P23 = IntPoly((1, 0, 1, 1))
 P14 = IntPoly((1, 1, 0, 0, 1))
+PHI3_PHI4 = cyclotomic_by_division(3) * cyclotomic_by_division(4)
 
 
 def test_denom_poly_anchors():
@@ -250,8 +255,9 @@ def _resultant_ratio_poly(p):
     denom_poly(parse_spec("{2,3,8}")),
     denom_poly(parse_spec("{1,2,4,10}")),
     IntPoly((1, 0, 0, -2, 7)),                       # non-monic lead
-    cyclotomic(3) * cyclotomic(4),
-    cyclotomic(2) * cyclotomic(6) * cyclotomic(6),   # repeated roots
+    PHI3_PHI4,
+    cyclotomic_by_division(2) * cyclotomic_by_division(6)
+    * cyclotomic_by_division(6),                      # repeated roots
 ], ids=["{2,3}", "{1,4}", "{2,3,8}", "{1,2,4,10}", "p=1,0,0,-2,7",
         "Phi3*Phi4", "Phi2*Phi6^2"])
 def test_ratio_poly_matches_resultant_oracle(p):
@@ -284,17 +290,34 @@ def test_exact_tier_degree_12():
     assert rep.exact_test.divisor_order is None
 
 
+def _oracle_unity_screen(p, degree_bound):
+    """The exact unity screen by trial division: every order M >= 2 from
+    the totient sieve, ascending, until the M-th cyclotomic built by long
+    division divides R."""
+    ratio = ratio_poly(p)
+    checked = 0
+    for m in totient_candidates_by_sieve(min(degree_bound, ratio.degree)):
+        if m < 2:
+            continue
+        checked += 1
+        if cyclotomic_divides_by_division(m, ratio):
+            return (ratio.degree, checked, m)
+    return (ratio.degree, checked, None)
+
+
 @pytest.mark.parametrize("p, checked, divisor", [
     (denom_poly(parse_spec("{1,2,4,12}")), 289, None),
-    (cyclotomic(3) * cyclotomic(4), 1, 2),
-], ids=["{1,2,4,12}", "Phi3*Phi4"])
-def test_exact_unity_screen_unchanged_by_cyclotomic_construction(
-        p, checked, divisor, monkeypatch):
+    (PHI3_PHI4, 1, 2),
+    (IntPoly((1, 1, 1)), 2, 3),
+    (IntPoly((1, 0, 1, 0, 1)), 1, 2),
+    (IntPoly((1, 1, 2, 1, 1)), 1, 2),
+    (denom_poly(parse_spec("{1,2,5,16}")), 504, None),
+], ids=["{1,2,4,12}", "Phi3*Phi4", "1,1,1", "1,0,1,0,1", "1,1,2,1,1", "{1,2,5,16}"])
+def test_exact_unity_screen_matches_oracle_screen(p, checked, divisor):
     bound = 2 * p.degree * (p.degree - 1)
     got = nonperiodic._exact_unity_screen(p, bound)
-    monkeypatch.setattr(nonperiodic, "cyclotomic", cyclotomic_by_division)
-    oracle = nonperiodic._exact_unity_screen(p, bound)
-    assert got == oracle
+    assert (got.ratio_degree, got.orders_checked, got.divisor_order) \
+        == _oracle_unity_screen(p, bound)
     assert (got.orders_checked, got.divisor_order) == (checked, divisor)
 
 

@@ -5,18 +5,23 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import cyclotomic_by_division
+from oracles import (
+    cyclotomic_by_division,
+    cyclotomic_divides_by_division,
+    totient_candidates_by_sieve,
+)
 
 from compsigns import InternalError
+from compsigns.nonperiodic import denom_poly, ratio_poly
 from compsigns.poly import (
     IntPoly,
     RatSeries,
-    cyclotomic,
+    cyclotomic_divides,
     delta_op,
     format_poly,
-    monic_divides,
-    monic_divmod,
     monic_from_power_sums,
     poly_gcd,
     power_sums,
@@ -28,6 +33,7 @@ from compsigns.poly import (
     totient_candidates,
     yun_squarefree,
 )
+from compsigns.sets import parse_spec
 
 
 def rand_poly(rng, max_deg=6, span=9):
@@ -104,18 +110,6 @@ def test_delta_linear():
         c = rng.randint(-5, 5)
         for k in range(4):
             assert delta_op(p + q.scale(c), k) == delta_op(p, k) + delta_op(q, k).scale(c)
-
-
-def test_monic_divmod():
-    a = IntPoly((2, 0, -3, 1, 4))
-    b = IntPoly((1, 2, 1))
-    q, r = monic_divmod(a, b)
-    assert b * q + r == a
-    assert r.degree < b.degree
-    with pytest.raises(ValueError):
-        monic_divmod(a, IntPoly((1, 2)))
-    assert monic_divides(IntPoly((-1, 1)), IntPoly((-1, 0, 0, 1)))
-    assert not monic_divides(IntPoly((1, 1)), IntPoly((1, 0, 0, 1, 1)))
 
 
 def test_primitive():
@@ -248,6 +242,8 @@ def test_yun_reconstructs_random_products():
 
 
 def test_cyclotomic():
+    # anchors for the long-division oracle the cyclotomic tests rest on
+    cyclotomic = cyclotomic_by_division
     assert cyclotomic(1) == IntPoly((-1, 1))
     assert cyclotomic(2) == IntPoly((1, 1))
     assert cyclotomic(4) == IntPoly((1, 0, 1))
@@ -262,11 +258,40 @@ def test_cyclotomic():
         assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
-def test_cyclotomic_matches_long_division():
-    # the square-free-kernel construction against x^m - 1 divided by
-    # every Phi_d with d a proper divisor of m
-    for m in range(1, 401):
-        assert cyclotomic(m) == cyclotomic_by_division(m), m
+def _phi_product(*orders):
+    out = IntPoly((1,))
+    for n in orders:
+        out = out * cyclotomic_by_division(n)
+    return out
+
+
+def test_cyclotomic_divides_matches_trial_division():
+    polys = [cyclotomic_by_division(n) for n in range(1, 61)]
+    polys += [_phi_product(3, 4), _phi_product(2, 6, 6)]
+    polys += [ratio_poly(denom_poly(parse_spec(s))) for s in ("{2,3}", "{1,2,4,12}")]
+    polys.append(ratio_poly(IntPoly((1, 0, 0, -2, 7))))
+    found = 0
+    for r in polys:
+        for m in range(2, 121):
+            got = cyclotomic_divides(m, r)
+            assert got == cyclotomic_divides_by_division(m, r), (m, r)
+            found += got
+    assert found >= 59  # each Phi_n with 2 <= n <= 60 divides itself
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 60),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(any),
+       st.lists(st.integers(-9, 9), max_size=80))
+def test_cyclotomic_divides_property(m, g, r):
+    assert cyclotomic_divides(m, cyclotomic_by_division(m) * IntPoly(tuple(g)))
+    r = IntPoly(tuple(r))
+    assert cyclotomic_divides(m, r) == cyclotomic_divides_by_division(m, r)
+
+
+def test_totient_candidates_match_sieve():
+    for d in [*range(1, 61), 84, 144, 264]:
+        assert totient_candidates(d) == totient_candidates_by_sieve(d), d
 
 
 def test_totient_candidates():
