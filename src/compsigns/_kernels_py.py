@@ -11,7 +11,9 @@ backends.
 
 from __future__ import annotations
 
+from collections import deque
 from math import comb
+from operator import itemgetter
 
 
 def conv(a: list, b: list) -> list:
@@ -149,16 +151,46 @@ def first_violation(members: list, horizon: int) -> int:
     """Smallest n <= horizon where (-1)^n * S_0(n) < 0, or -1 if none.
 
     S_0 is the k = 0 row of sk_rows, computed incrementally with early exit.
+    With s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at even n
+    and s < 0 at odd n.  Below the largest member only the members <= n
+    contribute; from there on every member does, and the last max(A)
+    values slide through a window read by one fixed itemgetter.
     """
-    g = [1] + [0] * horizon
-    for n in range(1, horizon + 1):
+    # a single member stays in the first loop to the end: an itemgetter of
+    # one index returns the bare item, not a tuple
+    top = members[-1] if len(members) > 1 else horizon + 1
+    g = [1]
+    for n in range(1, min(top, horizon + 1)):
         s = 0
         for a in members:
             if a > n:
                 break
             s += g[n - a]
-        v = -s
-        g[n] = v
-        if (v if n % 2 == 0 else -v) < 0:
+        g.append(-s)
+        if (s > 0) if n % 2 == 0 else (s < 0):
             return n
+    if top > horizon:
+        return -1
+    window = deque(g, maxlen=top)  # window[top - a] = S_0(n - a)
+    get = itemgetter(*[top - a for a in members])
+    push = window.append
+    n = top
+    if n % 2:
+        s = sum(get(window))
+        push(-s)
+        if s < 0:
+            return n
+        n += 1
+    # n even from here: one even and one odd step per turn
+    for n in range(n, horizon, 2):
+        s = sum(get(window))
+        push(-s)
+        if s > 0:
+            return n
+        s = sum(get(window))
+        push(-s)
+        if s < 0:
+            return n + 1
+    if horizon % 2 == 0 and sum(get(window)) > 0:
+        return horizon
     return -1

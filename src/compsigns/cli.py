@@ -9,10 +9,18 @@ invariant (routes that disagree under ``sk --route all``, a non-integer
 value from an exact division) prints its message; any other unexpected
 exception inside compsigns prints its traceback.
 
-With ``--out DIR`` the primary output is also written into DIR next to a
-``run_manifest.json`` recording the command line, parameters, sha256
-digests of every written file, tool version and wall-clock time (the
-manifest is metadata; the determinism promise covers the primary files).
+Output protocol: a handler returns its exit code and a list of
+``(filename, body)`` outputs, where a body is either the text itself or a
+callable ``body(write)`` that writes the text in pieces, so that a large
+output is never held whole.  ``main`` prints every output to stdout in
+order.  With ``--out DIR`` it creates DIR before the first byte is
+printed and tees each output into its file there while it keeps a running
+sha256 digest and byte count; a ``run_manifest.json`` then records the
+command line, parameters, those digests and counts, tool version and
+wall-clock time (the manifest is metadata; the determinism promise covers
+the primary files).  Outputs are emitted under the same exit-code rules
+as the handler runs: a file that cannot be written exits 3, any other
+failure while emitting exits 4.
 
 ``--config FILE`` supplies certifier tolerances as ``key=value`` lines
 (``#`` comments allowed); values may use the exact power form ``2^-20``.
@@ -191,8 +199,8 @@ def _json_text(blob: dict) -> str:
     return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
 
-# each handler returns (exit_code, [(filename, text), ...]); the first
-# file is the primary output and is printed to stdout
+# each handler returns (exit_code, [(filename, body), ...]), a body being
+# a str or a callable body(write); see the module docstring
 
 
 def _cmd_counts(args):
@@ -311,9 +319,8 @@ def _cmd_nonperiodic(args):
 
 def _cmd_enumerate(args):
     res = enumerate_F(args.N, args.horizon, jobs=args.jobs)
-    blob = {"schema": SCHEMA, **enumeration_json(res)}
-    return 0, [("enumerate.json", _json_text(blob)),
-               ("verdicts.csv", verdicts_csv(res))]
+    return 0, [("enumerate.json", lambda write: enumeration_json(res, write, SCHEMA)),
+               ("verdicts.csv", lambda write: verdicts_csv(res, write))]
 
 
 def _cmd_construct(args):
@@ -355,18 +362,37 @@ _HANDLERS = {
 }
 
 
-def _write_outputs(out_dir: str, argv: list[str], args, outputs, elapsed: float) -> None:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+def _write_body(body, write) -> None:
+    if isinstance(body, str):
+        write(body)
+    else:
+        body(write)
+
+
+def _emit(outputs, directory: Path | None) -> list[dict]:
+    """Print every output; with a directory, tee each into its file there.
+    Returns the manifest entries of the written files."""
     entries = []
-    for name, text in outputs:
-        data = text.encode()
-        (directory / name).write_bytes(data)
-        entries.append({
-            "path": name,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        })
+    for name, body in outputs:
+        write = sys.stdout.write
+        if directory is None:
+            _write_body(body, write)
+            continue
+        digest, size = hashlib.sha256(), 0
+        with open(directory / name, "wb") as fh:
+            def tee(text):
+                nonlocal size
+                write(text)
+                data = text.encode()
+                fh.write(data)
+                digest.update(data)
+                size += len(data)
+            _write_body(body, tee)
+        entries.append({"path": name, "sha256": digest.hexdigest(), "bytes": size})
+    return entries
+
+
+def _write_manifest(directory: Path, argv: list[str], args, entries, elapsed: float) -> None:
     params = {k: v for k, v in vars(args).items() if k != "out"}
     manifest = {
         "schema": "compsigns.run/1",
@@ -387,6 +413,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code, outputs = _HANDLERS[args.command](args)
+        directory = Path(args.out) if args.out else None
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+        entries = _emit(outputs, directory)
+        if directory is not None:
+            _write_manifest(directory, argv, args, entries, time.monotonic() - started)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
@@ -402,10 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:  # a bug: never report it as a verdict or usage error
         traceback.print_exc()
         return 4
-    for _, text in outputs:
-        sys.stdout.write(text)
-    if getattr(args, "out", None):
-        _write_outputs(args.out, argv, args, outputs, time.monotonic() - started)
     return code
 
 

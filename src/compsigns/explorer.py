@@ -28,6 +28,7 @@ recurrences, which no amount of scanning settles.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from dataclasses import dataclass
 
@@ -200,30 +201,60 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
     return EnumerationResult(n, horizon, count, tuple(first_violations))
 
 
-def enumeration_json(result: EnumerationResult) -> dict:
-    return {
-        "n": result.n,
-        "horizon": result.horizon,
-        "count": result.count,
-        "note": result.note,
-        "verdicts": [
-            {
-                "mask": mask,
-                "members": _mask_members(mask, result.n),
-                "k0_ok": fv is None,
-                "first_violation": fv,
-            }
-            for mask, fv in enumerate(result.first_violations)
-        ],
-    }
+# rows per write call of the two writers below: a few KB to a few tens of
+# KB per call, whatever the scan size
+_CHUNK_BITS = 8
+
+# one verdict object as json.dumps(indent=2, sort_keys=True) prints it
+# inside the top-level "verdicts" list, preceded by the list separator
+_ROW = (',\n    {{\n      "first_violation": {},\n      "k0_ok": {},\n'
+        '      "mask": {},\n      "members": {}\n    }}')
+_ITEM = ",\n        "
 
 
-def verdicts_csv(result: EnumerationResult) -> str:
-    lines = ["mask,k0_ok,first_violation"]
-    for mask, fv in enumerate(result.first_violations):
-        text = "" if fv is None else str(fv)
-        lines.append(f"{mask},{str(fv is None).lower()},{text}")
-    return "\n".join(lines) + "\n"
+def _members_text(items: str) -> str:
+    return "[\n        " + items + "\n      ]" if items else "[]"
+
+
+def enumeration_json(result: EnumerationResult, write, schema: str) -> None:
+    """Write enumerate.json through ``write``, byte for byte what
+    ``json.dumps(blob, indent=2, sort_keys=True) + "\\n"`` prints for the
+    scan's blob, one block of 2^_CHUNK_BITS masks per call."""
+    header = {"count": result.count, "horizon": result.horizon, "n": result.n,
+              "note": result.note, "schema": schema}
+    write("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
+                           for k, v in sorted(header.items()))
+          + '  "verdicts": [')
+    # a mask splits into its low _CHUNK_BITS bits, which index one row of a
+    # block, and its high bits, which are the same for the whole block
+    low = min(result.n, _CHUNK_BITS)
+    low_items = [_ITEM.join(map(str, _mask_members(m, low))) for m in range(1 << low)]
+    fvs = result.first_violations
+    for high in range(1 << (result.n - low)):
+        base = high << low
+        high_items = _ITEM.join(str(i + low) for i in _mask_members(high, result.n - low))
+        rows = []
+        for m, items in enumerate(low_items):
+            fv = fvs[base + m]
+            if high_items:
+                items = items + _ITEM + high_items if items else high_items
+            rows.append(_ROW.format("null" if fv is None else fv,
+                                    "true" if fv is None else "false",
+                                    base + m, _members_text(items)))
+        text = "".join(rows)
+        write(text[1:] if high == 0 else text)  # no separator before the first row
+    write("\n  ]\n}\n")
+
+
+def verdicts_csv(result: EnumerationResult, write) -> None:
+    """Write verdicts.csv through ``write``, one block of 2^_CHUNK_BITS
+    masks per call."""
+    write("mask,k0_ok,first_violation\n")
+    fvs = result.first_violations
+    step = 1 << _CHUNK_BITS
+    for lo in range(0, len(fvs), step):
+        write("".join(f"{mask},true,\n" if fv is None else f"{mask},false,{fv}\n"
+                      for mask, fv in enumerate(fvs[lo:lo + step], lo)))
 
 
 # -- the reciprocal-series relation for disjoint unions ------------------------

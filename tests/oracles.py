@@ -112,3 +112,21 @@ def totient_candidates_by_sieve(d):
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
     return [n for n in range(1, limit + 1) if phi[n] <= d]
+
+
+def first_violation_reference(members, horizon):
+    """Smallest n <= horizon where (-1)^n * S_0(n) < 0, or -1 if none: the
+    plain recurrence over every member <= n at every n, with no window
+    and no unrolled parity."""
+    g = [1] + [0] * horizon
+    for n in range(1, horizon + 1):
+        s = 0
+        for a in members:
+            if a > n:
+                break
+            s += g[n - a]
+        v = -s
+        g[n] = v
+        if (v if n % 2 == 0 else -v) < 0:
+            return n
+    return -1

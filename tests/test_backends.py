@@ -18,6 +18,10 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import alt_moment_sum, first_violation_reference
 
 from compsigns import _kernels_py as pyk
 
@@ -102,8 +106,34 @@ def test_series_and_violation_parity(cyk):
         order = rng.randint(0, 25)
         assert cyk.series_inv_int(coeffs, order) == pyk.series_inv_int(coeffs, order)
         members = sorted(rng.sample(range(1, 9), rng.randint(0, 4)))
-        assert (cyk.first_violation(members, 60)
-                == pyk.first_violation(members, 60))
+        top = max(members, default=0)
+        for horizon in (0, top - 1, top, 60, 300):
+            assert (cyk.first_violation(members, horizon)
+                    == pyk.first_violation(members, horizon))
+
+
+@st.composite
+def _members_and_horizon(draw):
+    pool = draw(st.sampled_from([range(1, 21), range(2, 21, 2), range(1, 21, 2)]))
+    members = sorted(draw(st.sets(st.sampled_from(pool), max_size=8)))
+    top = max(members, default=0)
+    horizon = draw(st.one_of(st.sampled_from([0, top - 1, top, top + 1]),
+                             st.integers(0, 400)))
+    return members, max(horizon, 0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_members_and_horizon())
+def test_first_violation_matches_reference(case):
+    # the pure-Python kernel against the plain recurrence, and at small
+    # horizons against signed composition counts
+    members, horizon = case
+    got = pyk.first_violation(members, horizon)
+    assert got == first_violation_reference(members, horizon)
+    if horizon <= 30:
+        want = next((n for n in range(horizon + 1)
+                     if (-1) ** n * alt_moment_sum(members, 0, n) < 0), -1)
+        assert got == want
 
 
 def test_big_integer_parity(cyk):

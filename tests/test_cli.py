@@ -16,6 +16,7 @@ from oracles import alt_moment_sum
 import compsigns
 from compsigns import InternalError, cli, compositions, nonperiodic, sums
 from compsigns.cli import load_config, main
+from compsigns.explorer import enumerate_F
 from compsigns.sets import parse_spec
 from compsigns.sums import SkGrid, sk_fast
 
@@ -285,6 +286,74 @@ def test_enumerate_stdout_bytes(capsys):
     assert code == 0
     assert out.out == want
     assert 0 < blob["count"] < 1 << n
+
+
+def _enumerate_texts(n, horizon):
+    """enumerate.json and verdicts.csv as json.dumps and a plain loop print
+    them, for the first violations the scan finds."""
+    res = enumerate_F(n, horizon)
+    verdicts = [{"mask": mask, "members": [i + 1 for i in range(n) if mask >> i & 1],
+                 "k0_ok": fv is None, "first_violation": fv}
+                for mask, fv in enumerate(res.first_violations)]
+    blob = {"schema": "compsigns/1", "n": n, "horizon": horizon,
+            "count": sum(v["k0_ok"] for v in verdicts), "note": res.note,
+            "verdicts": verdicts}
+    rows = ["mask,k0_ok,first_violation"]
+    rows += [f"{mask},true," if fv is None else f"{mask},false,{fv}"
+             for mask, fv in enumerate(res.first_violations)]
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n", "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n,horizon,jobs", [(0, 8, 1), (1, 8, 1), (2, 12, 1),
+                                            (7, 40, 1), (9, 60, 2)])
+def test_enumerate_stdout_is_json_dumps_then_csv(capsys, n, horizon, jobs):
+    json_text, csv_text = _enumerate_texts(n, horizon)
+    code, out = run(capsys, "enumerate", "-N", str(n), "--horizon", str(horizon),
+                    "--jobs", str(jobs))
+    assert code == 0
+    assert out.out == json_text + csv_text
+
+
+def test_enumerate_out_files_and_manifest_follow_stdout(tmp_path, capsys):
+    out_dir = tmp_path / "scan"
+    code, out = run(capsys, "enumerate", "-N", "7", "--horizon", "40",
+                    "--out", str(out_dir))
+    assert code == 0
+    json_text, csv_text = _enumerate_texts(7, 40)
+    assert out.out == json_text + csv_text
+    files = {name: (out_dir / name).read_bytes()
+             for name in ("enumerate.json", "verdicts.csv")}
+    assert files["enumerate.json"] == out.out[:len(json_text)].encode()
+    assert files["verdicts.csv"] == out.out[len(json_text):].encode()
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["outputs"] == [
+        {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        for name, data in files.items()]
+
+
+def test_out_dir_that_cannot_be_made_exits_3(tmp_path, capsys):
+    # DIR is made before anything is printed, and a failure to make it is
+    # a usage error, not a counterexample
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code, out = run(capsys, "counts", "-A", "{1,2}", "-N", "5",
+                    "--out", str(blocker / "x"))
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+def test_exception_while_emitting_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(result, write):
+        write("mask,k0_ok,first_violation\n")
+        raise ZeroDivisionError("broken on purpose")
+
+    monkeypatch.setattr(cli, "verdicts_csv", broken)
+    code, out = run(capsys, "enumerate", "-N", "3", "--horizon", "12",
+                    "--out", str(tmp_path / "d"))
+    assert code == 4
+    assert "ZeroDivisionError" in out.err and "Traceback" in out.err
+    assert not (tmp_path / "d" / "run_manifest.json").exists()
 
 
 def test_construct_and_rejection(capsys):

@@ -167,15 +167,30 @@ def test_enumerate_jobs_capped_at_cpu_count(monkeypatch):
 
 def test_enumeration_json_and_csv():
     res = enumerate_F(3, 12)
-    blob = json.loads(json.dumps(enumeration_json(res)))
+    chunks = []
+    enumeration_json(res, chunks.append, "compsigns/1")
+    blob = json.loads("".join(chunks))
     assert blob["count"] == res.count
     assert blob["verdicts"][3]["members"] == [1, 2]
     assert blob["verdicts"][3]["first_violation"] == 3
-    csv = verdicts_csv(res)
+    chunks = []
+    verdicts_csv(res, chunks.append)
+    csv = "".join(chunks)
     lines = csv.strip().split("\n")
     assert lines[0] == "mask,k0_ok,first_violation"
     assert lines[1] == "0,true,"
     assert lines[4] == "3,false,3"
+
+
+def test_writers_stream_in_bounded_chunks():
+    # neither document is ever handed to write whole
+    res = enumerate_F(14, 56)
+    sizes = []
+    for writer, extra in ((enumeration_json, ("compsigns/1",)), (verdicts_csv, ())):
+        before = len(sizes)
+        writer(res, lambda text: sizes.append(len(text)), *extra)
+        assert len(sizes) - before > 2
+    assert max(sizes) <= 1 << 20
 
 
 def test_union_relation_simple_and_infinite():
