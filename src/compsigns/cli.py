@@ -37,6 +37,7 @@ import re
 import sys
 import time
 import traceback
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -94,9 +95,13 @@ def _num(text: str) -> float:
 
 
 def load_config(path: str | Path, exact: bool = False) -> CertConfig:
+    """CertConfig from ``key=value`` lines; the keys are CertConfig's
+    fields except ``exact``, which only the --exact flag sets."""
     from .nonperiodic import CertConfig
 
-    kv: dict[str, str] = {}
+    known = {f.name: int if isinstance(f.default, int) else _num
+             for f in fields(CertConfig) if f.name != "exact"}
+    settings = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,21 +109,11 @@ def load_config(path: str | Path, exact: bool = False) -> CertConfig:
         if "=" not in line:
             raise SpecError(f"bad config line {raw!r} (want key=value)")
         key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    known = {
-        "precision": int,
-        "residual_tol": _num,
-        "gap_tol": _num,
-        "unity_tol": _num,
-        "exact_max_degree": int,
-        "max_iterations": int,
-    }
-    fields = {}
-    for key, val in kv.items():
+        key = key.strip()
         if key not in known:
             raise SpecError(f"unknown config key {key!r}")
-        fields[key] = known[key](val)
-    return CertConfig(exact=exact, **fields)
+        settings[key] = known[key](val.strip())
+    return CertConfig(exact=exact, **settings)
 
 
 def build_parser() -> _Parser:

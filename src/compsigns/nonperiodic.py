@@ -44,6 +44,8 @@ polynomial, and x -> c*x followed by the primitive part gives R.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,9 +60,9 @@ from .poly import (
 )
 from .sets import SetSpec, SpecError
 
-# mpmath and numpy are imported inside the functions that use them: the
-# CLI imports this module for every subcommand, and only the certifier
-# needs the numeric stack
+# mpmath, the only numeric library here, is imported inside the
+# functions that use it: importing this module loads none, only running a
+# certificate does
 if TYPE_CHECKING:
     import mpmath as mp
 
@@ -88,7 +90,17 @@ class CertConfig:
     unity_tol: float = 2.0**-20       # min |zeta^N - 1| over candidate orders
     exact: bool = False               # run the exact unity tier as well
     exact_max_degree: int = 12        # ratio polynomial has degree d^2
-    max_iterations: int = 256
+    max_iterations: int = 256         # sweeps per refinement pass
+
+    def __post_init__(self):
+        # a setting may refuse a certificate but never grant one: a
+        # negative tolerance would empty hypothesis (ii) or (iii)
+        for name, least in (("precision", 1), ("residual_tol", 0), ("gap_tol", 0),
+                            ("unity_tol", 0), ("exact_max_degree", 0),
+                            ("max_iterations", 0)):
+            value = getattr(self, name)
+            if not least <= value < math.inf:
+                raise SpecError(f"{name} must be finite and >= {least}, got {value!r}")
 
 
 DEFAULT_CONFIG = CertConfig()
@@ -241,64 +253,57 @@ def reciprocal_sign_prefix(p: IntPoly, order: int) -> list[int]:
 # -- numeric roots ------------------------------------------------------------
 
 
-def _as_monic_mpc(p: IntPoly) -> list[mp.mpc]:
-    import mpmath as mp
+def _sweep(factor: IntPoly, roots: list, target, budget: int) -> bool:
+    """Weierstrass (Durand-Kerner) sweeps over the approximations in
+    roots, refined in place, for any number type that IntPoly evaluates.
 
-    lead = p.lead
-    return [mp.mpc(c) / lead for c in p.coeffs]
-
-
-def _seed_roots(factor: IntPoly) -> list[mp.mpc]:
-    import mpmath as mp
-    import numpy as np
-
-    deg = factor.degree
-    try:
-        guesses = np.roots(np.array(list(reversed(factor.coeffs)), dtype=float))
-        if len(guesses) == deg and np.all(np.isfinite(guesses)):
-            return [mp.mpc(complex(g)) for g in guesses]
-    except Exception:
-        pass
-    bound = 1 + max(abs(c) for c in factor.coeffs) / abs(factor.lead)
-    spin = mp.mpc(0.4, 0.9)
-    return [bound * spin**k for k in range(1, deg + 1)]
+    True once a sweep moves no root by target or more; False when two
+    approximations coincide or the budget runs out first (a step that is
+    not a number never settles)."""
+    for _ in range(budget):
+        settled = True
+        for i, z in enumerate(roots):
+            den = factor.lead
+            for j, w in enumerate(roots):
+                if j != i:
+                    den *= z - w
+            if not den:
+                return False
+            step = factor(z) / den
+            roots[i] = z - step
+            if not abs(step) < target:
+                settled = False
+        if settled:
+            return True
+    return False
 
 
 def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]:
-    """All roots of a square-free integer polynomial by simultaneous
-    first-order refinement from companion-matrix / spiral seeds."""
+    """All roots of a square-free integer polynomial: spiral seeds inside
+    Fujiwara's bound, refined first in double precision and then at the
+    working precision down to 2^-(precision-16)."""
     import mpmath as mp
 
     deg = factor.degree
-    if deg == 1:
-        return [mp.mpf(-factor.coeffs[0]) / factor.coeffs[1]]
-    coeffs = _as_monic_mpc(factor)[::-1]  # mp.polyval wants the lead first
-    roots = _seed_roots(factor)
-    # distinct seeds are required; nudge collisions apart
-    for i in range(deg):
-        for j in range(i):
-            if abs(roots[i] - roots[j]) < mp.mpf("1e-12"):
-                roots[i] += mp.mpc("1e-6", "1e-6") * (i + 1)
-    target = mp.mpf(2) ** (-(precision - 16))
-    for _ in range(budget):
-        worst = mp.mpf(0)
-        for i in range(deg):
-            num = mp.polyval(coeffs, roots[i])
-            den = mp.mpc(1)
-            for j in range(deg):
-                if j != i:
-                    den *= roots[i] - roots[j]
-            if den == 0:
-                roots[i] += mp.mpc("1e-9", "1e-9")
-                worst = mp.inf
-                continue
-            step = num / den
-            roots[i] -= step
-            worst = max(worst, abs(step))
-        if worst < target:
-            return roots
-    raise RootConvergenceError(
-        f"no convergence for degree {deg} within {budget} sweeps")
+    # spiral seeds r*(0.4+0.9i)^k of pairwise distinct moduli, r being
+    # Fujiwara's root bound in mpf (no big integer divided into a float)
+    radius = 2 * max((mp.mpf(abs(c)) / abs(factor.lead)) ** (mp.mpf(1) / (deg - i))
+                     for i, c in enumerate(factor.coeffs[:-1]))
+    roots = [radius * mp.mpc(0.4, 0.9) ** k for k in range(1, deg + 1)]
+    # a head start in doubles down to 2^-50 r, skipped on overflow; its
+    # roots replace the seeds when finite and distinct, settled or not,
+    # since a cluster too tight for doubles never settles yet ends near it
+    try:
+        fast = [complex(z) for z in roots]
+        _sweep(factor, fast, 2.0**-50 * float(radius), budget)
+        if all(map(cmath.isfinite, fast)) and len(set(fast)) == deg:
+            roots = [mp.mpc(z) for z in fast]
+    except OverflowError:
+        pass
+    if not _sweep(factor, roots, mp.mpf(2) ** (16 - precision), budget):
+        raise RootConvergenceError(
+            f"no convergence for degree {deg} within {budget} sweeps")
+    return roots
 
 
 def _enforce_conjugates(roots: list[mp.mpc], residual_tol: mp.mpf) -> list[mp.mpc]:
@@ -350,11 +355,10 @@ def roots_numeric(
     with mp.workprec(precision):
         tol = mp.mpf(residual_tol)
         found: list[Root] = []
-        lead_first = [mp.mpc(c) for c in reversed(p.coeffs)]
         for factor, mult in yun_squarefree(p):
             raw = _durand_kerner(factor, precision, max_iterations)
             for r in _enforce_conjugates(raw, tol):
-                res = abs(mp.polyval(lead_first, r))
+                res = abs(p(r))
                 bound = tol * (1 + abs(r)) ** p.degree
                 if res > bound:
                     raise RootConvergenceError(

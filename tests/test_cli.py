@@ -196,8 +196,8 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
 
 def test_numeric_stack_loaded_only_by_the_certifier():
     # a fresh process: a non-certifier run loads neither the certifier
-    # module nor numpy and mpmath, and importing the certifier still leaves
-    # the numeric stack out until it runs; the process-pool machinery
+    # module nor mpmath, importing the certifier still leaves mpmath out
+    # until it runs, and numpy never loads; the process-pool machinery
     # stays out too
     script = textwrap.dedent("""
         import sys
@@ -216,7 +216,7 @@ def test_numeric_stack_loaded_only_by_the_certifier():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True)
     loaded = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded ")]
-    assert loaded == ["loaded []", "loaded ['mpmath', 'numpy']"]
+    assert loaded == ["loaded []", "loaded ['mpmath']"]
     assert "pool False" in proc.stdout.splitlines()
 
 
@@ -241,6 +241,30 @@ def test_config_rejects_bad_lines(tmp_path, capsys):
     bad.write_text("no_such_key=1\n")
     code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(bad))
     assert code == 3
+
+
+@pytest.mark.parametrize("line", [
+    "precision=0",
+    "residual_tol=-1",
+    "gap_tol=-1",
+    "unity_tol=-1",
+    "exact_max_degree=-1",
+    "max_iterations=-1",
+])
+def test_config_value_out_of_range_exits_3(tmp_path, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("error: " + line.partition("=")[0])
+
+
+def test_coefficient_too_large_for_a_double(capsys):
+    big = str(10**400)
+    code, out = run(capsys, "nonperiodic", "-p", f"1,{big},1")
+    assert code in (0, 2)
+    assert json.loads(out.out)["poly"] == ["1", big, "1"]
 
 
 def test_enumerate_output(capsys):

@@ -1,11 +1,12 @@
 """Tests for the dominant-root non-periodicity certifier."""
 
 import json
+import math
 import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -35,7 +36,7 @@ from compsigns.nonperiodic import (
     reciprocal_sign_prefix,
     roots_numeric,
 )
-from compsigns.poly import IntPoly, primitive, resultant_in_y
+from compsigns.poly import IntPoly, primitive, resultant_in_y, yun_squarefree
 from compsigns.sets import SpecError, explicit, parse_spec
 from compsigns.signs import NO_PERIOD, SignWord, detect_period
 from compsigns.sums import sk_fast
@@ -123,6 +124,93 @@ def test_roots_budget_exhaustion_raises():
         roots_numeric(P23, max_iterations=0)
 
 
+def _check_roots(p, precision, residual_tol):
+    """roots_numeric(p) counts deg p roots with multiplicity, is closed
+    under conjugation, and lead * prod (x - r)^m rebuilds p.  The
+    refinement stops once every correction is below 2^-(precision-16),
+    taken here as the size of each root's error; an error e in one root
+    moves each coefficient of the product by at most e * |lead| * prod
+    over the other roots of (1 + |s|)^m, so the rebuild is held to
+    deg p * 2^(16-precision) * |lead| * prod (1 + |r|)^m.
+    """
+    prof = roots_numeric(p, precision, residual_tol)
+    assert prof.degree == p.degree
+    with mp.workprec(precision):
+        seen = {(r.value.real, r.value.imag, r.multiplicity) for r in prof.roots}
+        for r in prof.roots:
+            assert (r.value.real, -r.value.imag, r.multiplicity) in seen
+    with mp.workprec(2 * precision):
+        rebuilt = [mp.mpc(p.lead)]
+        scale = mp.mpf(abs(p.lead))
+        for r in prof.roots:
+            for _ in range(r.multiplicity):
+                rebuilt = [b - r.value * a for a, b in zip(rebuilt + [0], [0] + rebuilt)]
+                scale *= 1 + abs(r.value)
+        bound = p.degree * mp.mpf(2) ** (16 - precision) * scale
+        assert len(rebuilt) == len(p.coeffs)
+        for got, want in zip(rebuilt, p.coeffs):
+            assert abs(got - want) <= bound
+    return prof
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=29),
+       st.integers(-3, 3).filter(bool),
+       st.sampled_from([53, 64, 128, 256]))
+def test_roots_rebuild_square_free_polys(middle, lead, precision):
+    p = IntPoly((1, *middle, lead))  # degree 2..30, p(0) = 1
+    assume(yun_squarefree(p) == [(p, 1)])
+    _check_roots(p, precision, 2.0 ** -(precision // 2))
+
+
+def _record_passes(monkeypatch):
+    """Log (number type, settled) of every refinement pass that finishes."""
+    passes = []
+    sweep = nonperiodic._sweep
+
+    def spy(factor, roots, target, budget):
+        settled = sweep(factor, roots, target, budget)
+        passes.append((type(roots[0]), settled))
+        return settled
+
+    monkeypatch.setattr(nonperiodic, "_sweep", spy)
+    return passes
+
+
+def test_roots_cluster_too_tight_for_doubles(monkeypatch):
+    # 1 - 2 x^12 (5 - x)^2 has two roots 9e-5 apart near x = 5: the double
+    # pass cannot settle them, and the working-precision pass, started
+    # from where the double pass ended, separates them
+    passes = _record_passes(monkeypatch)
+    p = IntPoly((1,) + (0,) * 11 + (-50, 20, -2))
+    prof = _check_roots(p, 256, 2.0**-128)
+    assert passes == [(complex, False), (mp.mpc, True)]
+    near = sorted((r.value for r in prof.roots), key=lambda z: abs(z - 5))[:2]
+    assert 8e-5 < abs(near[0] - near[1]) < 1e-4
+
+
+def test_roots_coefficient_too_large_for_a_double(monkeypatch):
+    # no double holds 10^400, so the spiral seeds go straight to the
+    # working-precision pass; the root -10^-400 needs the precision to
+    # reach far below 10^-400
+    passes = _record_passes(monkeypatch)
+    p = IntPoly((1, 10**400)) * P23
+    prof = _check_roots(p, 2048, 2.0**-128)
+    assert passes == [(mp.mpc, True)]
+    with mp.workprec(2048):
+        tiny = mp.mpf(10) ** -400
+        assert any(abs(r.value + tiny) < tiny * 2.0**-1000 for r in prof.roots)
+
+
+def test_roots_far_inside_cauchy_bound():
+    # 1 + 10^300 x^30: Cauchy's bound is 2, the roots have modulus 1e-10;
+    # seeds on that scale (Fujiwara's bound) reach them within the budget
+    prof = _check_roots(IntPoly((1,) + (0,) * 29 + (10**300,)), 256, 2.0**-128)
+    with mp.workprec(256):
+        for r in prof.roots:
+            assert abs(abs(r.value) / mp.mpf("1e-10") - 1) < mp.mpf(2) ** -200
+
+
 def test_certify_23():
     rep = check_nonperiodic(P23)
     assert rep.verdict == NOT_EVENTUALLY_PERIODIC
@@ -186,6 +274,30 @@ def test_multiplicity_recorded_not_fatal():
     rep = check_nonperiodic(P23 * P23)
     assert rep.verdict == NOT_EVENTUALLY_PERIODIC
     assert rep.dominant.multiplicity == 2
+
+
+@pytest.mark.parametrize("setting", [
+    {"residual_tol": -1.0},
+    {"residual_tol": math.nan},
+    {"gap_tol": -(2.0**-20)},
+    {"gap_tol": math.inf},
+    {"unity_tol": -1.0},
+    {"precision": 0},
+    {"max_iterations": -1},
+    {"exact_max_degree": -1},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_config_refuses_bad_settings(setting):
+    # a setting may refuse a certificate but never grant one: a negative
+    # gap or unity tolerance would empty hypothesis (ii) or (iii)
+    with pytest.raises(SpecError):
+        CertConfig(**setting)
+
+
+def test_config_accepts_boundary_settings():
+    cfg = CertConfig(precision=1, residual_tol=0.0, gap_tol=0.0, unity_tol=0.0,
+                     exact=True, exact_max_degree=0, max_iterations=1)
+    rep = check_nonperiodic(P23, cfg)
+    assert rep.verdict in (NOT_EVENTUALLY_PERIODIC, INCONCLUSIVE)
 
 
 def test_nonconvergence_degrades_to_inconclusive():
