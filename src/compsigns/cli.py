@@ -31,37 +31,25 @@ max_iterations.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
 import time
-import traceback
-from dataclasses import fields
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import InternalError, __version__
-from .compositions import comp_polys, counts_csv, triangle_csv, verify_identities
-from .explorer import (
-    construct_distinct_subset_sums,
-    enumerate_F,
-    enumeration_json,
-    repunit_extension_experiment,
-    union_relation_check,
-    verdicts_csv,
-    verify_cofinite_even_complement,
-    verify_distinct_subset_sums,
-)
-from .poly import IntPoly
-from .sets import SetSpec, SpecError, parse_spec
-from .signs import check_range_set_pattern, detect_period, sign_word
-from .sums import ROUTES, grid_csv, sk_fast
+from .sets import SpecError, parse_spec
+from .sums import ROUTES
 
-# the certifier is imported by the two functions that use it, so that no
-# other subcommand pays for building its classes at start-up
+# beyond sets and sums (whose ROUTES name the --route choices), each handler
+# imports the capability modules it runs, and stdlib modules that serve one
+# branch load in that branch, so that a run pays at start-up only for its
+# own subcommand
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .nonperiodic import CertConfig
+    from .sets import SetSpec
 
 SCHEMA = "compsigns/1"
 
@@ -97,10 +85,12 @@ def _num(text: str) -> float:
 def load_config(path: str | Path, exact: bool = False) -> CertConfig:
     """CertConfig from ``key=value`` lines; the keys are CertConfig's
     fields except ``exact``, which only the --exact flag sets."""
+    from pathlib import Path
+
     from .nonperiodic import CertConfig
 
-    known = {f.name: int if isinstance(f.default, int) else _num
-             for f in fields(CertConfig) if f.name != "exact"}
+    known = {name: int if isinstance(default, int) else _num
+             for name, default in CertConfig._field_defaults.items() if name != "exact"}
     settings = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -138,7 +128,8 @@ def build_parser() -> _Parser:
     p.add_argument("-A", required=True, metavar="SET")
     p.add_argument("-K", required=True, type=int)
     p.add_argument("-N", required=True, type=int)
-    p.add_argument("--route", choices=sorted(ROUTES) + ["all"], default="fast")
+    p.add_argument("--route", choices=sorted(ROUTES) + ["all"],
+                   default="fast")
     common(p)
 
     p = sub.add_parser("signs", help="sign word of one grid row")
@@ -199,16 +190,22 @@ def _json_text(blob: dict) -> str:
 
 
 def _cmd_counts(args):
+    from .compositions import counts_csv
+
     spec = _spec(args.A, args.N)
     return 0, [("counts.csv", counts_csv(spec, args.N))]
 
 
 def _cmd_polys(args):
+    from .compositions import comp_polys, triangle_csv
+
     spec = _spec(args.A, args.N)
     return 0, [("triangle.csv", triangle_csv(comp_polys(spec, args.N)))]
 
 
 def _cmd_sk(args):
+    from .sums import grid_csv
+
     spec = _spec(args.A, args.N)
     if args.route != "all":
         grid = ROUTES[args.route](spec, args.K, args.N)
@@ -226,6 +223,9 @@ def _cmd_sk(args):
 
 
 def _cmd_signs(args):
+    from .signs import detect_period, sign_word
+    from .sums import sk_fast
+
     spec = _spec(args.A, args.N)
     grid = sk_fast(spec, args.k, args.N)
     word = sign_word(grid, args.k, normalized=args.normalized)
@@ -244,12 +244,16 @@ def _cmd_signs(args):
 def _cmd_verify(args):
     suite = args.suite
     if suite == "section2":
+        from .compositions import verify_identities
+
         if not args.A:
             raise SpecError("verify --suite section2 needs -A")
         report = verify_identities(_spec(args.A, args.N), args.N)
         text = "\n".join(report.summary_lines()) + "\n"
         return (0 if report.all_pass else 1), [("verify.txt", text)]
     if suite == "prop33":
+        from .signs import check_range_set_pattern
+
         if args.m is None:
             raise SpecError("verify --suite prop33 needs -m")
         chk = check_range_set_pattern(args.m, args.N)
@@ -258,6 +262,8 @@ def _cmd_verify(args):
                    f"FAIL first mismatch n={chk.first_mismatch}") + "\n")
         return (0 if chk.passed else 1), [("verify.txt", text)]
     if suite == "thm34":
+        from .explorer import verify_cofinite_even_complement
+
         if args.E is None:
             raise SpecError("verify --suite thm34 needs -E")
         chk = verify_cofinite_even_complement(parse_spec(args.E), args.N)
@@ -270,6 +276,8 @@ def _cmd_verify(args):
         ]
         return (0 if chk.passed else 1), [("verify.txt", "\n".join(lines) + "\n")]
     if suite == "thm36":
+        from .explorer import verify_distinct_subset_sums
+
         if not args.B:
             raise SpecError("verify --suite thm36 needs -B")
         chk = verify_distinct_subset_sums(parse_spec(args.B), args.N)
@@ -280,6 +288,8 @@ def _cmd_verify(args):
         ]
         return (0 if chk.passed else 1), [("verify.txt", "\n".join(lines) + "\n")]
     # union
+    from .explorer import union_relation_check
+
     if not (args.A and args.B):
         raise SpecError("verify --suite union needs -A and -B")
     ok = union_relation_check(_spec(args.A, args.N), _spec(args.B, args.N), args.N)
@@ -294,6 +304,7 @@ def _cmd_nonperiodic(args):
         check_nonperiodic,
         check_set_nonperiodic,
     )
+    from .poly import IntPoly
 
     if bool(args.A) == bool(args.p):
         raise SpecError("nonperiodic needs exactly one of -A or -p")
@@ -313,16 +324,21 @@ def _cmd_nonperiodic(args):
 
 
 def _cmd_enumerate(args):
+    from .explorer import enumerate_F, enumeration_json, verdicts_csv
+
     res = enumerate_F(args.N, args.horizon, jobs=args.jobs)
     return 0, [("enumerate.json", lambda write: enumeration_json(res, write, SCHEMA)),
                ("verdicts.csv", lambda write: verdicts_csv(res, write))]
 
 
 def _cmd_construct(args):
-    a = construct_distinct_subset_sums(parse_spec(args.B))
+    from .explorer import construct_distinct_subset_sums
+
+    base = parse_spec(args.B)
+    a = construct_distinct_subset_sums(base)
     blob = {
         "schema": SCHEMA,
-        "base": str(parse_spec(args.B)),
+        "base": str(base),
         "set": list(a.data),
         "size": len(a.data),
     }
@@ -330,6 +346,8 @@ def _cmd_construct(args):
 
 
 def _cmd_experiment(args):
+    from .explorer import repunit_extension_experiment
+
     probe = repunit_extension_experiment(args.m, args.horizon)
     blob = {
         "schema": SCHEMA,
@@ -367,6 +385,8 @@ def _write_body(body, write) -> None:
 def _emit(outputs, directory: Path | None) -> list[dict]:
     """Print every output; with a directory, tee each into its file there.
     Returns the manifest entries of the written files."""
+    if directory is not None:
+        import hashlib
     entries = []
     for name, body in outputs:
         write = sys.stdout.write
@@ -402,14 +422,17 @@ def _write_manifest(directory: Path, argv: list[str], args, entries, elapsed: fl
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = time.monotonic()  # the manifest's wall time covers the parser too
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    started = time.monotonic()
     try:
         args = parser.parse_args(argv)
         code, outputs = _HANDLERS[args.command](args)
-        directory = Path(args.out) if args.out else None
-        if directory is not None:
+        directory = None
+        if args.out:
+            from pathlib import Path
+
+            directory = Path(args.out)
             directory.mkdir(parents=True, exist_ok=True)
         entries = _emit(outputs, directory)
         if directory is not None:
@@ -427,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception:  # a bug: never report it as a verdict or usage error
+        import traceback
+
         traceback.print_exc()
         return 4
     return code

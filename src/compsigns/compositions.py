@@ -23,10 +23,9 @@ tables disagree, which is a bug (InternalError), not a finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import InternalError
+from . import InternalError, Record
 from ._backend import (
     comp_poly_rows,
     conv_trunc,
@@ -40,8 +39,7 @@ from .sets import SetSpec, SpecError
 IDENTITY_NAMES = ("recurrence_weight", "reflection", "parity", "delta_q", "delta_self")
 
 
-@dataclass(frozen=True)
-class CompPolyTable:
+class CompPolyTable(Record):
     """Immutable table of composition polynomials f_0 .. f_upto."""
 
     set: SetSpec
@@ -104,8 +102,7 @@ def partition_counts(spec: SetSpec, upto: int) -> list[int]:
 # -- q-series ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Record):
     """Prefix of the expansion of f(x) / (x f'(x)) for a part-set."""
 
     set: SetSpec
@@ -185,15 +182,13 @@ def qseries_to_json(q: QSeries) -> dict:
 # -- identity verification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityFailure:
+class IdentityFailure(Record):
     identity: str
     n: int
     coeff_index: int
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(Record):
     set: SetSpec
     upto: int
     method: str

@@ -30,8 +30,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 
+from . import Record
 from ._backend import eval_table, first_violation, series_inv_int
 from .compositions import comp_counts, partition_counts
 from .sets import COFINITE, EXPLICIT, REPUNIT, SetSpec, SpecError, e_prime, explicit
@@ -46,8 +46,7 @@ HORIZON_NOTE = ("horizon-limited: non-negativity beyond the scanned range "
 # -- cofinite sets missing a finite even set ----------------------------------
 
 
-@dataclass(frozen=True)
-class CofiniteCheck:
+class CofiniteCheck(Record):
     removed: SetSpec           # E, the even parts missing from A
     upto: int
     k_max: int
@@ -116,8 +115,7 @@ def construct_distinct_subset_sums(B: SetSpec) -> SetSpec:
     return explicit(sums, horizon=B.horizon)
 
 
-@dataclass(frozen=True)
-class SubsetSumCheck:
+class SubsetSumCheck(Record):
     base: SetSpec              # B
     constructed: SetSpec       # A, the subset-sum set
     upto: int
@@ -144,8 +142,7 @@ def verify_distinct_subset_sums(B: SetSpec, upto: int) -> SubsetSumCheck:
 # -- F(N): subsets whose normalized word stays non-negative --------------------
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     n: int
     horizon: int
     count: int                     # subsets with no violation <= horizon
@@ -287,8 +284,7 @@ def union_relation_check(A: SetSpec, B: SetSpec, upto: int) -> bool:
 # -- repair search for failing sets --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupersetSearch:
+class SupersetSearch(Record):
     base: SetSpec
     budget: int
     horizon: int
@@ -336,8 +332,7 @@ def optimal_superset_search(A: SetSpec, budget: int, horizon: int,
 # -- repunit-plus-base probe ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepunitProbe:
+class RepunitProbe(Record):
     m: int
     horizon: int
     members: tuple[int, ...]

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import Record
 from .poly import (
     IntPoly,
     cyclotomic_divides,
@@ -82,8 +82,7 @@ class RootConvergenceError(RuntimeError):
     """Root refinement missed the requested residual within budget."""
 
 
-@dataclass(frozen=True)
-class CertConfig:
+class CertConfig(Record):
     precision: int = 256              # working precision, bits
     residual_tol: float = 2.0**-128   # |p(root)| <= tol * (1+|root|)^deg
     gap_tol: float = 2.0**-20         # relative modulus gap between clusters
@@ -106,15 +105,13 @@ class CertConfig:
 DEFAULT_CONFIG = CertConfig()
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     value: mp.mpc
     multiplicity: int
     residual: mp.mpf
 
 
-@dataclass(frozen=True)
-class RootProfile:
+class RootProfile(Record):
     poly: IntPoly
     precision: int
     roots: tuple[Root, ...]
@@ -124,31 +121,27 @@ class RootProfile:
         return sum(r.multiplicity for r in self.roots)
 
 
-@dataclass(frozen=True)
-class DominantInfo:
+class DominantInfo(Record):
     root: mp.mpc          # the member of the pair with positive imaginary part
     modulus: mp.mpf
     multiplicity: int
     relative_gap: mp.mpf  # to the nearest other cluster; inf if none
 
 
-@dataclass(frozen=True)
-class ZetaTest:
+class ZetaTest(Record):
     degree_bound: int
     orders_checked: int
     min_distance: mp.mpf
     min_at_order: int
 
 
-@dataclass(frozen=True)
-class ExactUnityTest:
+class ExactUnityTest(Record):
     ratio_degree: int
     orders_checked: int
     divisor_order: int | None  # cyclotomic order dividing R, if any
 
 
-@dataclass(frozen=True)
-class NonPeriodicityReport:
+class NonPeriodicityReport(Record):
     poly: IntPoly
     config: CertConfig
     verdict: str

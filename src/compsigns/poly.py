@@ -21,11 +21,10 @@ tracer (perfbench/shim.py) looks up ``resultant_in_y`` by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from . import InternalError
+from . import InternalError, Record
 from ._backend import conv, conv_trunc
 
 
@@ -36,8 +35,7 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Dense integer polynomial; immutable, always normalized."""
 
     coeffs: tuple[int, ...] = ()
@@ -466,8 +464,7 @@ def totient_candidates(d: int) -> list[int]:
 # -- truncated rational power series ----------------------------------------
 
 
-@dataclass(frozen=True)
-class RatSeries:
+class RatSeries(Record):
     """Power-series prefix with exact rational coefficients.
 
     Stores exactly order+1 coefficients; zeros are kept.

@@ -19,7 +19,8 @@ Any form takes an optional suffix ``@H`` setting the horizon (default 1000).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from . import Record
 
 DEFAULT_HORIZON = 1000
 
@@ -48,8 +49,7 @@ def _check_elements(elems: tuple[int, ...], what: str) -> None:
             raise SpecError(f"{what} must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class SetSpec:
+class SetSpec(Record):
     """Immutable description of a part-set, queryable up to ``horizon``."""
 
     kind: str

@@ -13,9 +13,8 @@ verdict is explicitly conjecture-consistency only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from . import sets
+from . import Record, sets
 from .compositions import comp_counts
 from .sets import SetSpec, SpecError
 from .sums import SkGrid, normalized_violation, sk_fast
@@ -34,8 +33,7 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-@dataclass(frozen=True)
-class SignWord:
+class SignWord(Record):
     """Word over {-1, 0, +1} with provenance metadata."""
 
     symbols: tuple[int, ...]
@@ -71,8 +69,7 @@ def sign_word(grid: SkGrid, k: int, normalized: bool = True) -> SignWord:
     return SignWord(syms, grid.set, k, normalized)
 
 
-@dataclass(frozen=True)
-class PeriodFinding:
+class PeriodFinding(Record):
     """Outcome of a horizon-limited periodicity scan.
 
     For ConsistentAtHorizon: word[n] = pattern[(n - preperiod) % period]
@@ -146,8 +143,7 @@ def _range_spec(m: int, upto: int) -> SetSpec:
     return SetSpec(sets.RANGE, (m,), max(upto, 1))
 
 
-@dataclass(frozen=True)
-class PatternCheck:
+class PatternCheck(Record):
     m: int
     upto: int
     passed: bool
@@ -169,8 +165,7 @@ def check_range_set_pattern(m: int, upto: int) -> PatternCheck:
     return PatternCheck(m, upto, mismatch is None, mismatch, word, block)
 
 
-@dataclass(frozen=True)
-class OddSetCheck:
+class OddSetCheck(Record):
     set: SetSpec
     upto: int
     k_max: int
@@ -197,8 +192,7 @@ def check_odd_set(spec: SetSpec, upto: int, k_max: int = 4) -> OddSetCheck:
                        identity_bad is None and negative_at is None)
 
 
-@dataclass(frozen=True)
-class ConjectureCheck:
+class ConjectureCheck(Record):
     m: int
     k: int
     upto: int

@@ -20,11 +20,10 @@ cross-validate each other exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import InternalError
+from . import InternalError, Record
 from ._backend import conv_trunc, sk_rows
 from .compositions import comp_polys, q_series_scaled
 from .poly import delta_op
@@ -35,8 +34,7 @@ class IntegralityError(InternalError):
     """A rational route produced a non-integer value (always a bug)."""
 
 
-@dataclass(frozen=True)
-class SkGrid:
+class SkGrid(Record):
     """Immutable (K+1) x (N+1) table, row-major in k: values[k][n] = S_k(n)."""
 
     set: SetSpec

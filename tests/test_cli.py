@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ import pytest
 from oracles import alt_moment_sum
 
 import compsigns
-from compsigns import InternalError, cli, compositions, nonperiodic, sums
+from compsigns import InternalError, cli, compositions, explorer, nonperiodic, sums
 from compsigns.cli import load_config, main
 from compsigns.explorer import enumerate_F
 from compsigns.sets import parse_spec
@@ -194,30 +193,64 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert "ZeroDivisionError" in out.err and "Traceback" in out.err
 
 
-def test_numeric_stack_loaded_only_by_the_certifier():
+def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     # a fresh process: a non-certifier run loads neither the certifier
     # module nor mpmath, importing the certifier still leaves mpmath out
     # until it runs, and numpy never loads; the process-pool machinery
-    # stays out too
+    # stays out too.  Each run loads only its own subcommand: no module a
+    # bare interpreter lacks that serves records, crashes or --out alone
     script = textwrap.dedent("""
+        import json
         import sys
+        bare = set(json.loads(sys.argv[1]))
         import compsigns.cli
-        assert compsigns.cli.main(["counts", "-A", "{1,2}", "-N", "5"]) == 0
+
+        def run(*argv):
+            assert compsigns.cli.main(list(argv)) == 0
+            print("new", argv[0], json.dumps(sorted(set(sys.modules) - bare)))
+
+        run("counts", "-A", "{1,2}", "-N", "5")
+        run("signs", "-A", "{2,3}", "-k", "0", "-N", "60", "--normalized",
+            "--detect", "10,20")
+        run("verify", "--suite", "union", "-A", "{1,3}", "-B", "{2,4}", "-N", "30")
         assert "compsigns.nonperiodic" not in sys.modules
         import compsigns.nonperiodic
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
         print("pool", "concurrent.futures.process" in sys.modules)
         assert compsigns.cli.main(["nonperiodic", "-p", "1,1,1"]) == 2
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
+        run("counts", "-A", "{1,2}", "-N", "5", "--out", sys.argv[2])
     """)
     src = Path(compsigns.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    bare = subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    out_dir = tmp_path / "counts"
     proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, check=True)
-    loaded = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded ")]
+        [sys.executable, "-c", script, bare, str(out_dir)],
+        env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    loaded = [ln for ln in lines if ln.startswith("loaded ")]
     assert loaded == ["loaded []", "loaded ['mpmath']"]
-    assert "pool False" in proc.stdout.splitlines()
+    assert "pool False" in lines
+    new = {}
+    for ln in lines:
+        if ln.startswith("new "):
+            _, command, names = ln.split(" ", 2)
+            new.setdefault(command, []).append(set(json.loads(names)))
+    branch_only = {"dataclasses", "inspect", "traceback", "hashlib", "compsigns.nonperiodic"}
+    for command in ("counts", "signs", "verify"):
+        assert not new[command][0] & branch_only, command
+    assert "compsigns.explorer" not in new["counts"][0]
+    assert "compsigns.explorer" in new["verify"][0]
+    # the lazily imported --out path still writes the file and its manifest
+    csv = (out_dir / "counts.csv").read_bytes()
+    assert csv == b"n,c_A(n)\n0,1\n1,1\n2,2\n3,3\n4,5\n5,8\n"
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["outputs"] == [{"path": "counts.csv", "bytes": len(csv),
+                                    "sha256": hashlib.sha256(csv).hexdigest()}]
+    assert manifest["command"] == "counts" and manifest["wall_time_s"] > 0
 
 
 def test_config_file(tmp_path, capsys):
@@ -372,7 +405,7 @@ def test_exception_while_emitting_exits_4(tmp_path, capsys, monkeypatch):
         write("mask,k0_ok,first_violation\n")
         raise ZeroDivisionError("broken on purpose")
 
-    monkeypatch.setattr(cli, "verdicts_csv", broken)
+    monkeypatch.setattr(explorer, "verdicts_csv", broken)
     code, out = run(capsys, "enumerate", "-N", "3", "--horizon", "12",
                     "--out", str(tmp_path / "d"))
     assert code == 4
