@@ -31,7 +31,6 @@ max_iterations.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
@@ -182,6 +181,8 @@ def build_parser() -> _Parser:
 
 
 def _json_text(blob: dict) -> str:
+    import json
+
     return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
 

@@ -8,17 +8,16 @@ integers scaled by powers of min(A)), and an exact verifier for the
 algebraic identities tying them together.
 
 Identity checks run in one of two modes.  The default "eval" mode
-evaluates both sides at enough integer points to pin down polynomials of
-the degrees involved (n+1 points determine a degree-n polynomial), which
-keeps the inner loops on fast integer kernels and is still an exact
-proof.  It is one pass over t = 1, 2, ...: the value tables at +t and -t
-are built once per t and shared by the reflection, parity and delta_self
-checks, and reflection, whose two sides are even in t, is evaluated at
-+t only.  The "coeff" mode compares coefficient vectors directly; it is
-slower but localizes a mismatch, so "eval" falls back to it to report
-the exact differing coefficient when a check fails.  An eval failure
-that the coefficient check cannot place means the value and coefficient
-tables disagree, which is a bug (InternalError), not a finding.
+proves reflection, parity and delta_self from their values at the single
+pair t = +-2^b, with b sized so that t^2 exceeds twice every coefficient
+the differences can have: an integer polynomial whose coefficients are
+that small vanishes at +-t only if it is zero (see check_eval).  That
+takes a few calls of the integer kernels on large integers.  The
+"coeff" mode compares coefficient vectors directly; it is slower but
+localizes a mismatch, so "eval" falls back to it to report the exact
+differing coefficient when a check fails.  An eval failure that the
+coefficient check cannot place means the value and coefficient tables
+disagree, which is a bug (InternalError), not a finding.
 """
 
 from __future__ import annotations
@@ -338,53 +337,73 @@ class _IdentityChecker:
                 return fail
         return None
 
+    def eval_bits(self) -> int:
+        """Exponent b of the evaluation point 2^b of check_eval.
+
+        Composition tables have non-negative coefficients, so the
+        coefficients of f_n sum to c1[n] = f_n(1), and those of a product
+        of two tables to the product of the sums.  With C and X the t = 1
+        values of the self-convolution and of the odd-part convolution,
+        each side of a comparison at level n has coefficients of absolute
+        value at most 2*c1[n], 2*C[n] or 2*X[n] (reflection and parity;
+        parity's all-odd comparison at most c1[n]) or n*c1[n] and C[n]
+        (delta_self, where D multiplies the coefficient of t^i by i <= n).
+        Each |coefficient| of lhs - rhs is at most the sum of two such
+        sides, so at most B = 2 * max(4 * max C, 4 * max X, (N+1) * max c1).
+        b is the least exponent with 2^(2b) > 2B.
+        """
+        n_max = self.upto
+        c1 = eval_table(self.members, n_max, 1)
+        o1 = eval_table(self.odd_members, n_max, 1)
+        bound = 2 * max(4 * max(conv_trunc(c1, c1, n_max)),
+                        4 * max(conv_trunc(o1, c1, n_max)), (n_max + 1) * max(c1))
+        return (bound.bit_length() + 2) // 2
+
     def check_eval(self) -> dict[str, IdentityFailure | None]:
         """Point-evaluation check of reflection, parity and delta_self.
 
-        Both sides at level n are polynomials of degree <= upto in t, so
-        agreement at upto+1 distinct points proves equality.  One pass over
-        t = 1 .. (upto+2)//2 builds each value table at +t and -t once.
-        parity and delta_self are checked at t, then at -t.  Both sides of
-        reflection are even in t, so +t alone gives the upto/2+1 values of
-        t^2 it needs.  An identity that has failed is not evaluated again;
-        its report is the first failing n at its first failing point in
-        the order 1, -1, 2, -2, ..., placed by the coefficient check.
+        Every comparison is evaluated at the pair t = +-2^b of eval_bits.
+        That is a proof: the difference of the two sides at level n is an
+        integer polynomial D(x) = E(x^2) + x*O(x^2) whose coefficients are
+        below t^2/2 in absolute value.  D(t) = D(-t) = 0 gives
+        E(t^2) = O(t^2) = 0, and since an integer whose base-t^2 digits
+        all lie in (-t^2/2, t^2/2) has one such expansion only, E and O
+        are zero.  parity and delta_self are compared at +t and at -t;
+        the difference of reflection is even in x for any table, so +t
+        alone proves it.  For each identity the smallest level n that
+        differs at either point (or, for parity over all-odd sets, in
+        either of its comparisons) is the first n the coefficient check
+        fails, which then places the differing coefficient.
         """
         n_max = self.upto
-        fails: dict[str, IdentityFailure | None] = dict.fromkeys(
-            ("reflection", "parity", "delta_self"))
-
-        def compare(name: str, point: int, lhs: list[int], rhs: list[int]) -> None:
-            n = _first_diff(lhs, rhs)
-            if n >= 0:
-                fails[name] = self._failure(name, n)
-                if fails[name] is None:
-                    raise InternalError(
-                        f"{name} fails at n={n}, t={point} on the value tables, "
-                        "but its coefficient check finds no differing coefficient")
-
-        for t in range(1, (n_max + 2) // 2 + 1):
-            v_pos = eval_table(self.members, n_max, t)
-            v_neg = eval_table(self.members, n_max, -t)
-            o_pos = eval_table(self.odd_members, n_max, t)
-            o_neg = eval_table(self.odd_members, n_max, -t)
-            if fails["reflection"] is None:
-                rhs = conv_trunc(v_neg, v_pos, n_max)
-                compare("reflection", t, [a + b for a, b in zip(v_pos, v_neg)],
-                        [2 * c for c in rhs])
-            for point, v, v_bar, o_bar in ((t, v_pos, v_neg, o_neg),
-                                           (-t, v_neg, v_pos, o_pos)):
-                if fails["parity"] is None:
-                    alt = [c if j % 2 == 0 else -c for j, c in enumerate(v)]
-                    lhs = conv_trunc(o_bar, [a + b for a, b in zip(v_bar, alt)], n_max)
-                    rhs = conv_trunc(alt, v_bar, n_max)
-                    compare("parity", point, lhs, [2 * c for c in rhs])
-                    if fails["parity"] is None and self.all_odd:
-                        compare("parity", point, v_bar, alt)
-                if fails["delta_self"] is None:
-                    w = delta_eval_table(self.members, n_max, point, v)
-                    sq = conv_trunc(v, v, n_max)
-                    compare("delta_self", point, w, [a - b for a, b in zip(sq, v)])
+        bits = self.eval_bits()
+        t = 1 << bits
+        v_pos = eval_table(self.members, n_max, t)
+        v_neg = eval_table(self.members, n_max, -t)
+        o_pos = eval_table(self.odd_members, n_max, t)
+        o_neg = eval_table(self.odd_members, n_max, -t)
+        rhs = conv_trunc(v_neg, v_pos, n_max)
+        diffs = {"reflection": [_first_diff([a + b for a, b in zip(v_pos, v_neg)],
+                                            [2 * c for c in rhs])],
+                 "parity": [], "delta_self": []}
+        for point, v, v_bar, o_bar in ((t, v_pos, v_neg, o_neg), (-t, v_neg, v_pos, o_pos)):
+            alt = [c if j % 2 == 0 else -c for j, c in enumerate(v)]
+            lhs = conv_trunc(o_bar, [a + b for a, b in zip(v_bar, alt)], n_max)
+            rhs = conv_trunc(alt, v_bar, n_max)
+            diffs["parity"].append(_first_diff(lhs, [2 * c for c in rhs]))
+            if self.all_odd:
+                diffs["parity"].append(_first_diff(v_bar, alt))
+            w = delta_eval_table(self.members, n_max, point, v)
+            sq = conv_trunc(v, v, n_max)
+            diffs["delta_self"].append(_first_diff(w, [a - b for a, b in zip(sq, v)]))
+        fails: dict[str, IdentityFailure | None] = {}
+        for name, found in diffs.items():
+            n = min((n for n in found if n >= 0), default=-1)
+            fails[name] = None if n < 0 else self._failure(name, n)
+            if n >= 0 and fails[name] is None:
+                raise InternalError(
+                    f"{name} fails at n={n}, t=±2^{bits} on the value tables, "
+                    "but its coefficient check finds no differing coefficient")
         return fails
 
 

@@ -164,12 +164,13 @@ def test_internal_error_exits_4(capsys, monkeypatch):
 def test_unlocatable_identity_failure_exits_4(capsys, monkeypatch):
     # value tables that disagree with the coefficient table are a kernel
     # bug: the coefficient check finds nothing to report, and that must not
-    # read as a counterexample
+    # read as a counterexample.  The tables at t = 1 only size the
+    # evaluation point, so the skew goes into the tables at that point
     real = compositions.eval_table
 
     def skewed(members, n_max, t):
         values = list(real(members, n_max, t))
-        if t == 1:
+        if t != 1:
             values[5] += 1
         return values
 
@@ -198,16 +199,16 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     # module nor mpmath, importing the certifier still leaves mpmath out
     # until it runs, and numpy never loads; the process-pool machinery
     # stays out too.  Each run loads only its own subcommand: no module a
-    # bare interpreter lacks that serves records, crashes or --out alone
+    # bare interpreter lacks that serves records, crashes, JSON output or
+    # --out alone
     script = textwrap.dedent("""
-        import json
         import sys
-        bare = set(json.loads(sys.argv[1]))
+        bare = set(sys.argv[1].split())
         import compsigns.cli
 
         def run(*argv):
             assert compsigns.cli.main(list(argv)) == 0
-            print("new", argv[0], json.dumps(sorted(set(sys.modules) - bare)))
+            print("new", argv[0], " ".join(sorted(set(sys.modules) - bare)))
 
         run("counts", "-A", "{1,2}", "-N", "5")
         run("signs", "-A", "{2,3}", "-k", "0", "-N", "60", "--normalized",
@@ -224,7 +225,7 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     src = Path(compsigns.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     bare = subprocess.run(
-        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        [sys.executable, "-c", "import sys; print(' '.join(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     out_dir = tmp_path / "counts"
     proc = subprocess.run(
@@ -237,12 +238,13 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     new = {}
     for ln in lines:
         if ln.startswith("new "):
-            _, command, names = ln.split(" ", 2)
-            new.setdefault(command, []).append(set(json.loads(names)))
+            _, command, *names = ln.split(" ")
+            new.setdefault(command, []).append(set(names))
     branch_only = {"dataclasses", "inspect", "traceback", "hashlib", "compsigns.nonperiodic"}
     for command in ("counts", "signs", "verify"):
         assert not new[command][0] & branch_only, command
     assert "compsigns.explorer" not in new["counts"][0]
+    assert "json" not in new["counts"][0]
     assert "compsigns.explorer" in new["verify"][0]
     # the lazily imported --out path still writes the file and its manifest
     csv = (out_dir / "counts.csv").read_bytes()

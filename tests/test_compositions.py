@@ -2,9 +2,13 @@
 the identity verifier."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import partition_count, triangle_counts
 
@@ -204,35 +208,172 @@ def test_verify_methods_agree():
         verify_identities(parse_spec("{1}"), 5, method="magic")
 
 
-def test_verify_coeff_mode_reports_tampered_table(monkeypatch):
+@contextmanager
+def _read_off(chk, polys, odd_polys=None):
+    """Run chk on the polynomial tables polys (and odd_polys, if given):
+    the coefficient checks read them, and check_eval's value tables are
+    their values."""
+    chk._table = CompPolyTable(chk.spec, chk.upto, tuple(polys))
+    if odd_polys is not None:
+        chk._odd_polys = tuple(odd_polys)
+    real = compositions.eval_table
+
+    def values(members, n_max, t):
+        if members is chk.members:
+            return [polys[n](t) for n in range(n_max + 1)]
+        if odd_polys is not None and members is chk.odd_members:
+            return [odd_polys[n](t) for n in range(n_max + 1)]
+        return real(members, n_max, t)
+
+    def delta_values(members, n_max, t, v):
+        return [delta_op(polys[n])(t) for n in range(n_max + 1)]
+
+    with mock.patch.object(compositions, "eval_table", values), \
+            mock.patch.object(compositions, "delta_eval_table", delta_values):
+        yield chk
+
+
+def _tamper(polys, edits):
+    """Add amount * t^i to f_n for each (n, i, amount) in edits."""
+    polys = list(polys)
+    for n, i, amount in edits:
+        polys[n] = polys[n] + IntPoly((0,) * i + (amount,))
+    return polys
+
+
+def test_verify_coeff_mode_reports_tampered_table():
     # coeff mode reads the cached polynomial table, so corrupt that
     spec = parse_spec("{1,2}")
     upto = 8
-    polys = list(comp_polys(spec, upto).polys)
-    polys[3] = polys[3] + IntPoly((0, 0, 1))
+    polys = _tamper(comp_polys(spec, upto).polys, [(3, 2, 1)])
     chk = _IdentityChecker(spec, upto)
-    chk._table = CompPolyTable(spec, upto, tuple(polys))
-    failure = chk.check_coeff("reflection")
-    assert isinstance(failure, IdentityFailure)
-    assert 0 <= failure.n <= upto
-    assert failure.coeff_index >= 0
-    # the reported coefficient really differs at the reported n
-    assert chk._coeff_reflection(failure.n) == failure.coeff_index
-    # eval mode sees the same corruption when its value tables are read
-    # off the tampered polynomials: it fails the same identities
-    real = compositions.eval_table
-    monkeypatch.setattr(compositions, "eval_table", lambda members, n_max, t: (
-        [polys[n](t) for n in range(n_max + 1)] if members is chk.members
-        else real(members, n_max, t)))
-    monkeypatch.setattr(compositions, "delta_eval_table", lambda members, n_max, t, v: (
-        [delta_op(polys[n])(t) for n in range(n_max + 1)]))
-    by_eval = chk.check_eval()
+    with _read_off(chk, polys):
+        failure = chk.check_coeff("reflection")
+        assert isinstance(failure, IdentityFailure)
+        assert 0 <= failure.n <= upto
+        assert failure.coeff_index >= 0
+        # the reported coefficient really differs at the reported n
+        assert chk._coeff_reflection(failure.n) == failure.coeff_index
+        # eval mode sees the same corruption when its value tables are read
+        # off the tampered polynomials: it fails the same identities
+        by_eval = chk.check_eval()
     by_coeff = {name: chk.check_coeff(name) for name in by_eval}
     failing = {name for name, f in by_eval.items() if f}
     assert failing == {name for name, f in by_coeff.items() if f}
     assert failing == {"reflection", "parity", "delta_self"}
     for name in failing:
         assert chk._failure(name, by_eval[name].n) == by_eval[name]
+
+
+def test_eval_mode_places_all_odd_parity_failure_like_coeff_mode():
+    # f_2 = t over {9}: f_2(-t) = f_2(t) fails at n = 2, while the
+    # convolution comparison of parity first fails at n = 4
+    spec = parse_spec("{9}")
+    chk = _IdentityChecker(spec, 10)
+    with _read_off(chk, _tamper(comp_polys(spec, 10).polys, [(2, 1, 1)])):
+        by_eval = chk.check_eval()
+    assert by_eval["parity"] == chk.check_coeff("parity") == IdentityFailure("parity", 2, 1)
+
+
+SPECIAL_SPECS = ["{}", "N+\\{2,6}@80", "repunit(2)@80", "{1}", "{2}"]
+
+specs = st.one_of(
+    st.sampled_from(SPECIAL_SPECS).map(parse_spec),
+    st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True).map(explicit),
+    st.lists(st.sampled_from([1, 3, 5, 7, 9, 11]), min_size=1, max_size=4,
+             unique=True).map(explicit))
+
+
+@st.composite
+def tampered_tables(draw, max_upto=18):
+    """(spec, upto, polys): a composition table with non-negative edits."""
+    spec = draw(specs)
+    upto = draw(st.integers(0, max_upto))
+    polys = comp_polys(spec, upto).polys
+    if upto == 0:
+        return spec, upto, list(polys)
+    # f_0 = 1 is assumed by both modes alike, so edits start at n = 1
+    edits = draw(st.lists(st.tuples(st.integers(1, upto), st.integers(0, upto + 1),
+                                    st.integers(1, 3)), max_size=3))
+    return spec, upto, _tamper(polys, [(n, min(i, n + 1), a) for n, i, a in edits])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tampered_tables())
+def test_eval_mode_reports_what_coeff_mode_reports(case):
+    spec, upto, polys = case
+    chk = _IdentityChecker(spec, upto)
+    with _read_off(chk, polys):
+        by_eval = chk.check_eval()
+    assert by_eval == {name: chk.check_coeff(name) for name in by_eval}
+
+
+def _comparisons(polys, opolys, all_odd, n):
+    """(lhs, rhs) coefficient lists of each comparison check_eval makes at
+    level n: reflection, parity (and its all-odd comparison), delta_self."""
+    neg = compositions._neg_coeffs
+    f = polys
+
+    def total(terms):
+        return sum(terms, IntPoly()).coeffs
+
+    sign = [1 if j % 2 == 0 else -1 for j in range(n + 1)]
+    yield (f[n] + neg(f[n])).coeffs, total((neg(f[i]) * f[n - i]).scale(2)
+                                             for i in range(n + 1))
+    yield (total(neg(opolys[i]) * (neg(f[n - i]) + f[n - i].scale(sign[n - i]))
+                 for i in range(n + 1)),
+           total((f[i] * neg(f[n - i])).scale(2 * sign[i]) for i in range(n + 1)))
+    if all_odd:
+        yield neg(f[n]).coeffs, f[n].scale(sign[n]).coeffs
+    yield delta_op(f[n]).coeffs, total(f[n - i] * f[i] for i in range(n))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(tampered_tables(max_upto=24))
+def test_eval_point_exceeds_twice_every_difference(case):
+    # |lhs_j| + |rhs_j| bounds |lhs_j - rhs_j| for every table whose
+    # coefficients have these magnitudes
+    spec, upto, polys = case
+    chk = _IdentityChecker(spec, upto)
+    with _read_off(chk, polys):
+        half_square = 2 ** (2 * chk.eval_bits()) // 2
+    for n in range(upto + 1):
+        for lhs, rhs in _comparisons(polys, chk.odd_polys, chk.all_odd, n):
+            for j in range(max(len(lhs), len(rhs))):
+                a = lhs[j] if j < len(lhs) else 0
+                b = rhs[j] if j < len(rhs) else 0
+                assert abs(a) + abs(b) < half_square, (spec, n, j)
+
+
+class _AtTwo(_IdentityChecker):
+    """Evaluates at t = +-2 whatever the tables, so that a difference
+    polynomial can vanish at +2 alone."""
+
+    def eval_bits(self) -> int:
+        return 1
+
+
+def test_delta_self_needs_the_minus_t_pass():
+    # f_3 += 16 + t^3 adds (j - 1) * t^j per term to delta_self's difference:
+    # 2t^3 - 16 vanishes at t = 2, not at t = -2
+    spec = parse_spec("{1,2}")
+    chk = _AtTwo(spec, 8)
+    with _read_off(chk, _tamper(comp_polys(spec, 8).polys, [(3, 0, 16), (3, 3, 1)])):
+        by_eval = chk.check_eval()
+    assert by_eval["delta_self"] == chk.check_coeff("delta_self")
+    assert by_eval["delta_self"].n == 3
+
+
+def test_parity_needs_the_minus_t_pass():
+    # odd f_3 += 2 + t adds 2 * (2 - t) to parity's difference at n = 3,
+    # and a multiple of 2 - t at every level above: all vanish at t = 2
+    spec = parse_spec("{1,2}")
+    chk = _AtTwo(spec, 8)
+    odd = _tamper(chk.odd_polys, [(3, 0, 2), (3, 1, 1)])
+    with _read_off(chk, comp_polys(spec, 8).polys, odd):
+        by_eval = chk.check_eval()
+    assert by_eval["parity"] == chk.check_coeff("parity")
+    assert by_eval["parity"].n == 3
 
 
 def test_verify_eval_mode_reports_wrong_odd_subset():
