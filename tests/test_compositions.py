@@ -308,11 +308,11 @@ def test_eval_mode_reports_what_coeff_mode_reports(case):
     assert by_eval == {name: chk.check_coeff(name) for name in by_eval}
 
 
-def _comparisons(polys, opolys, all_odd, n):
+def _comparisons(f, opolys, all_odd, n):
     """(lhs, rhs) coefficient lists of each comparison check_eval makes at
-    level n: reflection, parity (and its all-odd comparison), delta_self."""
+    level n of the table f: reflection, parity (and its all-odd
+    comparison), delta_self."""
     neg = compositions._neg_coeffs
-    f = polys
 
     def total(terms):
         return sum(terms, IntPoly()).coeffs
