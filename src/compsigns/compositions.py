@@ -370,10 +370,13 @@ class _IdentityChecker:
         all lie in (-t^2/2, t^2/2) has one such expansion only, E and O
         are zero.  parity and delta_self are compared at +t and at -t;
         the difference of reflection is even in x for any table, so +t
-        alone proves it.  For each identity the smallest level n that
-        differs at either point (or, for parity over all-odd sets, in
-        either of its comparisons) is the first n the coefficient check
-        fails, which then places the differing coefficient.
+        alone proves it.  Parity's right side at -t is (-1)^n times its
+        right side at +t for any two lists (swap j and n - j in the
+        convolution sum), so it is not convolved a second time.  For each
+        identity the smallest level n that differs at either point (or,
+        for parity over all-odd sets, in either of its comparisons) is the
+        first n the coefficient check fails, which then places the
+        differing coefficient.
         """
         n_max = self.upto
         bits = self.eval_bits()
@@ -389,8 +392,11 @@ class _IdentityChecker:
         for point, v, v_bar, o_bar in ((t, v_pos, v_neg, o_neg), (-t, v_neg, v_pos, o_pos)):
             alt = [c if j % 2 == 0 else -c for j, c in enumerate(v)]
             lhs = conv_trunc(o_bar, [a + b for a, b in zip(v_bar, alt)], n_max)
-            rhs = conv_trunc(alt, v_bar, n_max)
-            diffs["parity"].append(_first_diff(lhs, [2 * c for c in rhs]))
+            if point > 0:
+                par = conv_trunc(alt, v_bar, n_max)
+            else:
+                par = [c if n % 2 == 0 else -c for n, c in enumerate(par)]
+            diffs["parity"].append(_first_diff(lhs, [2 * c for c in par]))
             if self.all_odd:
                 diffs["parity"].append(_first_diff(v_bar, alt))
             w = delta_eval_table(self.members, n_max, point, v)

@@ -1,11 +1,13 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here enumerates actual tuples, sieves, or divides polynomials
-by schoolbook long division, deliberately avoiding the recurrences and
-shortcuts used by the package, so agreement is meaningful.
+Everything here enumerates actual tuples or multisets, sieves, or
+divides polynomials by schoolbook long division, deliberately avoiding
+the recurrences and shortcuts used by the package, so agreement is
+meaningful.
 """
 
 from collections import Counter
+from math import factorial, prod
 
 
 def compositions_of(parts, n):
@@ -32,6 +34,34 @@ def triangle_counts(parts, n) -> Counter:
     return Counter(len(c) for c in compositions_of(parts, n))
 
 
+def triangle_counts_by_multiset(parts, n) -> Counter:
+    """triangle_counts without listing the compositions one by one.
+
+    A composition is an ordering of a multiset of parts: the multiset with
+    m_a copies of each part a has i = sum m_a parts and i!/prod(m_a!)
+    distinct orderings.  Enumerating the multisets keeps n in the hundreds
+    cheap, where the tuples number far beyond 10^9.
+    """
+    parts = sorted(set(parts))
+    if not parts:
+        return Counter({0: 1}) if n == 0 else Counter()
+    counts = Counter()
+
+    def rec(k, remaining, mults):
+        if k == len(parts) - 1:  # the last part takes what is left, if it can
+            m, r = divmod(remaining, parts[k])
+            if r == 0:
+                mults = mults + [m]
+                i = sum(mults)
+                counts[i] += factorial(i) // prod(map(factorial, mults))
+            return
+        for m in range(remaining // parts[k] + 1):
+            rec(k + 1, remaining - m * parts[k], mults + [m])
+
+    rec(0, n, [])
+    return counts
+
+
 def total_count(parts, n) -> int:
     return sum(1 for _ in compositions_of(parts, n))
 
@@ -52,10 +82,18 @@ def partition_count(parts, n) -> int:
     return sum(1 for _ in partitions_of(parts, n))
 
 
-def alt_moment_sum(parts, k, n) -> int:
-    """Sum of (-1)^i * i^k over compositions grouped by part count i."""
-    tri = triangle_counts(parts, n)
+def alt_moment_sum(parts, k, n, counts=triangle_counts) -> int:
+    """Sum of (-1)^i * i^k over compositions grouped by part count i, as
+    the part-count Counter `counts(parts, n)` gives them."""
+    tri = counts(parts, n)
     return sum((-1) ** i * i**k * c for i, c in tri.items())
+
+
+def schoolbook_product(a, b):
+    """Coefficients of the product of two coefficient lists: entry n is
+    the sum of a[i] * b[n - i] over every valid i."""
+    return [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b))
+            for n in range(len(a) + len(b) - 1)]
 
 
 def monic_divmod(a, b):
