@@ -12,9 +12,13 @@ Four families live here:
 * enumerate_F: scan every subset of {1..N} for non-negativity of the
   normalized k = 0 word up to a horizon.  Row 0 decides membership:
   non-negativity there propagates to every k by the weighted-moment
-  identity, and k = 0 is itself one of the required rows.  The result
-  keeps one datum per subset, indexed by its bit mask: the first
-  failing n, or None for a pass.
+  identity, and k = 0 is itself one of the required rows.  A subset
+  that adds an odd part b to a passing subset passes without a scan:
+  the word of A is the series 1/q with q = 1 + sum over a in A of
+  (-x)^a, b odd turns q into q - x^b, and 1/(q - x^b) =
+  sum_j x^(jb) / q^(j+1) keeps non-negative coefficients up to the
+  horizon.  The result keeps one datum per subset, indexed by its bit
+  mask: the first failing n, or None for a pass.
 * union_relation_check, optimal_superset_search and
   repunit_extension_experiment: the reciprocal-series relation for
   disjoint unions, a horizon-limited repair search for failing sets,
@@ -158,10 +162,25 @@ def _mask_members(mask: int, n: int) -> list[int]:
 
 def _scan_masks(args: tuple[int, int, int, int]) -> list[int | None]:
     start, stop, n, horizon = args
-    found = (first_violation(_mask_members(mask, n), horizon)
-             for mask in range(start, stop))
-    # the kernel reports a pass as -1; nothing past this point sees it
-    return [None if fv < 0 else fv for fv in found]
+    # bit i-1 is element i, so the odd elements sit on the even bits;
+    # tried largest first, which takes fewer probes than smallest first
+    odd_bits = [1 << i for i in range(0, n, 2)][::-1]
+    found = []
+    for mask in range(start, stop):
+        for bit in odd_bits:
+            if mask & bit:
+                # a passing set plus an odd part passes (see enumerate_F).
+                # The smaller mask comes earlier in the scan, but maybe
+                # before this span, where a negative index would wrap
+                sub = mask - bit - start
+                if sub >= 0 and found[sub] is None:
+                    found.append(None)
+                    break
+        else:
+            fv = first_violation(_mask_members(mask, n), horizon)
+            # the kernel reports a pass as -1; nothing past this point sees it
+            found.append(None if fv < 0 else fv)
+    return found
 
 
 def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
@@ -170,6 +189,13 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
     A subset passes when its normalized k = 0 word has no negative entry
     up to the horizon; the count is only a horizon-certified candidate
     for the true all-n quantity.
+
+    A subset that adds an odd part b to a passing subset A' passes too,
+    so it is decided without running the kernel.  The word of A' is the
+    series u = 1/q with q(x) = 1 + sum over a in A' of (-x)^a; adding
+    odd b turns q into q - x^b, whose inverse sum_j x^(jb) u^(j+1) has
+    coefficients up to the horizon built from those of u alone, so they
+    are non-negative when those of u are.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -7,7 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import alt_moment_sum, compositions_of, partition_count
+from oracles import (
+    alt_moment_sum,
+    compositions_of,
+    first_violation_reference,
+    partition_count,
+)
 
 from compsigns import explorer
 from compsigns.explorer import (
@@ -147,7 +152,10 @@ def test_enumerate_guards():
         enumerate_F(8, 64, jobs=0)
 
 
-def test_enumerate_jobs_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def thread_pool(monkeypatch):
+    """Run pooled scans in-thread on a machine that reports three CPUs;
+    the returned list collects the requested pool sizes."""
     requested = []
 
     class FakePool(ThreadPoolExecutor):
@@ -159,10 +167,38 @@ def test_enumerate_jobs_capped_at_cpu_count(monkeypatch):
     # enumerate_F imports the pool class only when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
+    return requested
+
+
+def test_enumerate_jobs_capped_at_cpu_count(thread_pool):
     serial = enumerate_F(8, 64)
     assert enumerate_F(8, 64, jobs=10**9) == serial
     assert enumerate_F(8, 64, jobs=2) == serial
-    assert requested == [3, 2]
+    assert thread_pool == [3, 2]
+
+
+def _reference_scan(n, horizon):
+    fvs = (first_violation_reference([i + 1 for i in range(n) if mask >> i & 1], horizon)
+           for mask in range(1 << n))
+    return tuple(None if fv < 0 else fv for fv in fvs)
+
+
+@pytest.mark.parametrize("n, horizon", [(9, 36), (9, 200), (11, 44), (11, 200)])
+def test_pruned_scan_matches_reference(n, horizon, thread_pool):
+    # passes implied by a passing subset are never scanned, so check every
+    # mask against the plain recurrence; with n odd the top element is odd
+    # and the upper span of a two-way split starts with masks whose subset
+    # without it lies in the lower span
+    want = _reference_scan(n, horizon)
+    for jobs in (1, 2, 3):
+        res = enumerate_F(n, horizon, jobs=jobs)
+        assert res.first_violations == want, jobs
+        assert res.count == want.count(None)
+    assert thread_pool == [2, 3]
+
+
+def test_pruned_scan_matches_reference_in_real_pool():
+    assert enumerate_F(11, 200, jobs=2).first_violations == _reference_scan(11, 200)
 
 
 def test_enumeration_json_and_csv():

@@ -108,6 +108,28 @@ def test_first_violation_matches_reference(case):
         assert got == want
 
 
+@st.composite
+def _set_odd_part_and_horizon(draw):
+    members = draw(st.sets(st.integers(1, 16), max_size=10))
+    b = draw(st.sampled_from([b for b in range(1, 18, 2) if b not in members]))
+    return sorted(members), b, draw(st.integers(1, 300))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_set_odd_part_and_horizon())
+def test_odd_part_keeps_a_pass_and_delays_a_failure(case):
+    # with b odd, 1/(q_A - x^b) = sum_j x^(jb) (1/q_A)^(j+1): the word of
+    # A + {b} up to n is built from the word of A up to n alone.  The
+    # subset scan decides such supersets of passing sets without a run.
+    members, b, horizon = case
+    before = kernels.first_violation(members, horizon)
+    after = kernels.first_violation(sorted(members + [b]), horizon)
+    if before == -1:
+        assert after == -1
+    else:
+        assert after == -1 or after >= before
+
+
 def test_big_integer_counts():
     # counts grow fast; the kernels must stay on exact ints
     members = [1, 2, 3]
