@@ -22,10 +22,11 @@ the primary files).  Outputs are emitted under the same exit-code rules
 as the handler runs: a file that cannot be written exits 3, any other
 failure while emitting exits 4.
 
-``--config FILE`` supplies certifier tolerances as ``key=value`` lines
-(``#`` comments allowed); values may use the exact power form ``2^-20``.
-Keys: precision, residual_tol, gap_tol, unity_tol, exact_max_degree,
-max_iterations.
+``--config FILE`` supplies certifier settings as ``key=value`` lines
+(``#`` comments allowed).  Keys: precision, residual_tol, gap_tol,
+unity_tol, exact_max_degree, max_iterations.  The three tolerances
+(``*_tol``) also accept the exact power form ``2^-20``; the other keys
+take plain integers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import InternalError, __version__
-from .sets import SpecError, parse_spec
+from .sets import DEFAULT_HORIZON, SpecError, parse_spec
 from .sums import ROUTES
 
 # beyond sets and sums (whose ROUTES name the --route choices), each handler
@@ -65,10 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _spec(text: str, need: int) -> SetSpec:
     """Parse a set, making sure its query horizon covers n <= need."""
-    spec = parse_spec(text)
-    if "@" not in text and spec.horizon < need:
-        spec = parse_spec(text, horizon=need)
-    return spec
+    return parse_spec(text, horizon=max(DEFAULT_HORIZON, need))
 
 
 _POWER = re.compile(r"^2\^(-?\d+)$")
@@ -97,11 +95,14 @@ def load_config(path: str | Path, exact: bool = False) -> CertConfig:
             continue
         if "=" not in line:
             raise SpecError(f"bad config line {raw!r} (want key=value)")
-        key, _, val = line.partition("=")
-        key = key.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise SpecError(f"unknown config key {key!r}")
-        settings[key] = known[key](val.strip())
+        try:
+            settings[key] = known[key](val)
+        except ValueError:
+            wanted = "an integer" if known[key] is int else "a number or 2^e"
+            raise SpecError(f"{key} must be {wanted}, got {val!r}") from None
     return CertConfig(exact=exact, **settings)
 
 
@@ -267,7 +268,7 @@ def _cmd_verify(args):
 
         if args.E is None:
             raise SpecError("verify --suite thm34 needs -E")
-        chk = verify_cofinite_even_complement(parse_spec(args.E), args.N)
+        chk = verify_cofinite_even_complement(_spec(args.E, args.N), args.N)
         lines = [
             f"removed even set {chk.removed} n <= {chk.upto} k <= {chk.k_max}",
             "identity: " + ("pass" if chk.identity_mismatch is None
@@ -281,7 +282,7 @@ def _cmd_verify(args):
 
         if not args.B:
             raise SpecError("verify --suite thm36 needs -B")
-        chk = verify_distinct_subset_sums(parse_spec(args.B), args.N)
+        chk = verify_distinct_subset_sums(_spec(args.B, args.N), args.N)
         lines = [
             f"base {chk.base} -> set {chk.constructed}",
             "partition identity n <= %d: " % chk.upto

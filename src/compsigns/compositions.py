@@ -3,9 +3,9 @@
 A part-set A yields, for each n, the polynomial f_n whose coefficient of
 t^i counts the compositions of n into exactly i parts from A (ordered
 tuples).  This module builds those polynomial tables, the plain counts
-c_A(n), partition counts, the rational q-series f(x)/(x f'(x)) (also as
-integers scaled by powers of min(A)), and an exact verifier for the
-algebraic identities tying them together.
+c_A(n), partition counts, the q-series f(x)/(x f'(x)) as integers scaled
+by powers of min(A) (q_series keeps its exact rational form as a test
+reference), and an exact verifier for the identities tying them together.
 
 Identity checks run in one of two modes.  The default "eval" mode
 proves reflection, parity and delta_self from their values at the single
@@ -73,15 +73,6 @@ def comp_counts(spec: SetSpec, upto: int) -> list[int]:
     return eval_table(members, upto, 1)
 
 
-def comp_by_parts(spec: SetSpec, i: int, n: int) -> int:
-    """Number of compositions of n into exactly i parts of the set."""
-    if i < 0:
-        raise ValueError("part count must be non-negative")
-    rows = comp_poly_rows(spec.members_up_to(n), n)
-    row = rows[n]
-    return row[i] if i < len(row) else 0
-
-
 def partition_counts(spec: SetSpec, upto: int) -> list[int]:
     """Partition counts p(n) for n = 0 .. upto (order of parts ignored).
 
@@ -101,21 +92,7 @@ def partition_counts(spec: SetSpec, upto: int) -> list[int]:
 # -- q-series ----------------------------------------------------------------
 
 
-class QSeries(Record):
-    """Prefix of the expansion of f(x) / (x f'(x)) for a part-set."""
-
-    set: SetSpec
-    coeffs: RatSeries
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.order
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-
-def q_series(spec: SetSpec, order: int) -> QSeries:
+def q_series(spec: SetSpec, order: int) -> RatSeries:
     """Exact prefix of f(x)/(x f'(x)) up to x^order.
 
     Both f and x f' have lowest term at m = min(set); after shifting down
@@ -136,8 +113,7 @@ def q_series(spec: SetSpec, order: int) -> QSeries:
         if a - m <= order:
             num[a - m] += 1
             den[a - m] += a
-    series = series_mul(RatSeries(tuple(num)), series_inverse(RatSeries(tuple(den))))
-    return QSeries(spec, series)
+    return series_mul(RatSeries(tuple(num)), series_inverse(RatSeries(tuple(den))))
 
 
 def q_series_scaled(spec: SetSpec, order: int) -> tuple[int, list[int]]:
@@ -164,18 +140,6 @@ def q_series_scaled(spec: SetSpec, order: int) -> tuple[int, list[int]]:
             if i:
                 den[i] = a * m ** (i - 1)
     return m, conv_trunc(num, series_inv_int(den, order), order)
-
-
-def qseries_to_json(q: QSeries) -> dict:
-    """JSON-ready dict; numerators and denominators as base-10 strings."""
-    return {
-        "set": q.set.render(),
-        "order": q.order,
-        "coeffs": [
-            {"numerator": str(c.numerator), "denominator": str(c.denominator)}
-            for c in q.coeffs.coeffs
-        ],
-    }
 
 
 # -- identity verification ---------------------------------------------------

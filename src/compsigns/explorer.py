@@ -19,10 +19,9 @@ Four families live here:
   sum_j x^(jb) / q^(j+1) keeps non-negative coefficients up to the
   horizon.  The result keeps one datum per subset, indexed by its bit
   mask: the first failing n, or None for a pass.
-* union_relation_check, optimal_superset_search and
-  repunit_extension_experiment: the reciprocal-series relation for
-  disjoint unions, a horizon-limited repair search for failing sets,
-  and the repunit-plus-base probe.
+* union_relation_check and repunit_extension_experiment: the
+  reciprocal-series relation for disjoint unions and the
+  repunit-plus-base probe.
 
 Every horizon-limited answer is labelled as such: deciding
 non-negativity for ALL n is the Positivity Problem for linear
@@ -305,54 +304,6 @@ def union_relation_check(A: SetSpec, B: SetSpec, upto: int) -> bool:
             if inv[0][n] + inv[1][n] - inv[2][n] != want:
                 return False
     return True
-
-
-# -- repair search for failing sets --------------------------------------------
-
-
-class SupersetSearch(Record):
-    base: SetSpec
-    budget: int
-    horizon: int
-    universe_cap: int
-    additions: tuple[tuple[int, ...], ...]  # all minimal passing add-ons
-    note: str = HORIZON_NOTE
-
-    @property
-    def candidates(self) -> tuple[SetSpec, ...]:
-        base = set(self.base.members_up_to(self.universe_cap))
-        return tuple(explicit(sorted(base | set(x)), horizon=self.base.horizon)
-                     for x in self.additions)
-
-
-def optimal_superset_search(A: SetSpec, budget: int, horizon: int,
-                            universe_cap: int | None = None) -> SupersetSearch:
-    """Smallest add-on sets X making A u X pass the horizon test.
-
-    Breadth-first over |X| = 1..budget, X drawn from {1..cap} minus A;
-    at the first size with any pass, every passing X of that size is
-    returned (whether a repair is unique is an open question, so no
-    single winner is crowned).  Heuristic: passing the horizon proves
-    nothing about larger n.
-    """
-    if not A.is_finite:
-        raise SpecError("repair search needs a finite set")
-    members = A.members_up_to(A.horizon)
-    if first_violation(members, horizon) < 0:
-        raise ValueError("the set already passes; nothing to repair")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    cap = universe_cap if universe_cap is not None else max(members, default=1) + 12
-    pool = [x for x in range(1, cap + 1) if x not in set(members)]
-    for size in range(1, budget + 1):
-        passing = []
-        for combo in itertools.combinations(pool, size):
-            trial = sorted(set(members) | set(combo))
-            if first_violation(trial, horizon) < 0:
-                passing.append(combo)
-        if passing:
-            return SupersetSearch(A, budget, horizon, cap, tuple(passing))
-    return SupersetSearch(A, budget, horizon, cap, ())
 
 
 # -- repunit-plus-base probe ----------------------------------------------------

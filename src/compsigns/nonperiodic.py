@@ -230,19 +230,6 @@ def denom_poly(spec: SetSpec) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def reciprocal_prefix(p: IntPoly, order: int) -> list[int]:
-    """First order+1 integer coefficients of 1/p (requires p(0) = 1)."""
-    from ._backend import series_inv_int
-
-    if p.is_zero or p.coeffs[0] != 1:
-        raise ValueError("reciprocal prefix needs constant term 1")
-    return series_inv_int(list(p.coeffs), order)
-
-
-def reciprocal_sign_prefix(p: IntPoly, order: int) -> list[int]:
-    return [(c > 0) - (c < 0) for c in reciprocal_prefix(p, order)]
-
-
 # -- numeric roots ------------------------------------------------------------
 
 

@@ -90,34 +90,6 @@ class IntPoly(Record):
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def __str__(self) -> str:
-        return format_poly(self)
-
-
-def format_poly(p: IntPoly, var: str = "t") -> str:
-    """Human-readable rendering, highest degree first."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def delta_op(p: IntPoly, k: int = 1) -> IntPoly:
     """k-fold application of D = t * d/dt: coefficient i becomes a_i * i^k."""
     if k < 0:
@@ -477,16 +449,6 @@ class RatSeries(Record):
             self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("a series prefix needs at least the constant term")
-
-    @classmethod
-    def from_ints(cls, ints, order: int | None = None) -> "RatSeries":
-        coeffs = [Fraction(c) for c in ints]
-        if order is not None:
-            if order + 1 < len(coeffs):
-                coeffs = coeffs[: order + 1]
-            else:
-                coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs))
 
     @property
     def order(self) -> int:

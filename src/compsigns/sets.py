@@ -148,16 +148,9 @@ class SetSpec(Record):
             x += 1
         return x
 
-    def parity_split(self, n: int) -> tuple[list[int], list[int]]:
-        """Members up to n split into (odd, even)."""
-        members = self.members_up_to(n)
-        return [a for a in members if a % 2 == 1], [a for a in members if a % 2 == 0]
-
-    def all_odd(self, n: int | None = None) -> bool:
-        """True if every member up to n (default: horizon) is odd."""
-        if n is None:
-            n = self.horizon
-        return not self.parity_split(n)[1]
+    def all_odd(self) -> bool:
+        """True if every member up to the horizon is odd."""
+        return all(a % 2 for a in self.members_up_to(self.horizon))
 
     # -- rendering --------------------------------------------------------
 

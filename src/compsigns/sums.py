@@ -172,15 +172,3 @@ def grid_csv(grid: SkGrid) -> str:
             lines.append(f"{k},{n},{row[n]}")
     return "\n".join(lines) + "\n"
 
-
-def grid_json_summary(grid: SkGrid) -> dict:
-    """Compact fingerprint: per-row checksum sum_n (n+1) * S_k(n), base 10."""
-    sums = []
-    for k in range(grid.K + 1):
-        sums.append(str(sum((n + 1) * v for n, v in enumerate(grid.values[k]))))
-    return {
-        "set": grid.set.render(),
-        "K": grid.K,
-        "N": grid.N,
-        "row_checksums": sums,
-    }

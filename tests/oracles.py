@@ -62,10 +62,6 @@ def triangle_counts_by_multiset(parts, n) -> Counter:
     return counts
 
 
-def total_count(parts, n) -> int:
-    return sum(1 for _ in compositions_of(parts, n))
-
-
 def partitions_of(parts, n, cap=None):
     """Yield every non-increasing tuple over `parts` summing to n."""
     if n == 0:

@@ -121,6 +121,18 @@ def test_verify_suites_pass(capsys):
         assert "FAIL" not in out.out
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (("thm34", "-E", "{2,6}"), ["removed even set {2,6}@1200 n <= 1200 k <= 3",
+                                "identity: pass", "non-negativity: pass"]),
+    (("thm36", "-B", "{1,3,5}"), ["base {1,3,5}@1200 -> set {1,3,4,5,6,8,9}@1200",
+                                  "partition identity n <= 1200: pass"]),
+], ids=["thm34", "thm36"])
+def test_verify_suites_widen_the_default_horizon_to_n(capsys, argv, lines):
+    code, out = run(capsys, "verify", "--suite", *argv, "-N", "1200")
+    assert code == 0, out.err
+    assert out.out.splitlines() == lines
+
+
 def test_verify_missing_suite_input(capsys):
     code, out = run(capsys, "verify", "--suite", "thm36", "-N", "40")
     assert code == 3
@@ -285,6 +297,8 @@ def test_config_rejects_bad_lines(tmp_path, capsys):
     "unity_tol=-1",
     "exact_max_degree=-1",
     "max_iterations=-1",
+    "precision=2^8",
+    "gap_tol=2^x",
 ])
 def test_config_value_out_of_range_exits_3(tmp_path, capsys, line):
     cfg = tmp_path / "c.cfg"

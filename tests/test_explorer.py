@@ -22,7 +22,6 @@ from compsigns.explorer import (
     construct_distinct_subset_sums,
     enumerate_F,
     enumeration_json,
-    optimal_superset_search,
     repunit_extension_experiment,
     union_relation_check,
     verdicts_csv,
@@ -250,33 +249,6 @@ def test_union_relation_random_disjoint_splits():
 def test_union_relation_rejects_overlap():
     with pytest.raises(SpecError):
         union_relation_check(explicit([1, 2]), explicit([2, 3]), 20)
-
-
-def test_superset_repair_adds_next_integer():
-    s = optimal_superset_search(explicit([1, 2]), 2, 400)
-    assert s.additions == ((3,),)
-    assert s.candidates[0].data == (1, 2, 3)
-    s4 = optimal_superset_search(explicit([1, 2, 3, 4]), 2, 400)
-    assert s4.additions == ((5,),)
-    assert s4.note == HORIZON_NOTE
-
-
-def test_superset_repair_all_candidates_pass():
-    from compsigns._backend import first_violation
-
-    s = optimal_superset_search(explicit([2, 3]), 2, 300)
-    assert s.additions  # some repair exists within budget
-    for b in s.candidates:
-        assert first_violation(list(b.data), 300) < 0
-    sizes = {len(x) for x in s.additions}
-    assert len(sizes) == 1  # minimal level only
-
-
-def test_superset_repair_guards():
-    with pytest.raises(ValueError):
-        optimal_superset_search(explicit([1, 3]), 1, 200)  # already passes
-    empty = optimal_superset_search(explicit([1, 2]), 1, 200, universe_cap=2)
-    assert empty.additions == ()
 
 
 def test_repunit_probe():

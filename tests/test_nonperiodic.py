@@ -16,6 +16,7 @@ from oracles import (
 )
 
 from compsigns import nonperiodic
+from compsigns._backend import series_inv_int
 from compsigns.nonperiodic import (
     INCONCLUSIVE,
     NOT_EVENTUALLY_PERIODIC,
@@ -32,8 +33,6 @@ from compsigns.nonperiodic import (
     check_set_nonperiodic,
     denom_poly,
     ratio_poly,
-    reciprocal_prefix,
-    reciprocal_sign_prefix,
     roots_numeric,
 )
 from compsigns.poly import IntPoly, primitive, resultant_in_y, yun_squarefree
@@ -433,24 +432,28 @@ def test_exact_unity_screen_matches_oracle_screen(p, checked, divisor):
     assert (got.orders_checked, got.divisor_order) == (checked, divisor)
 
 
+def _reciprocal_signs(p: IntPoly, order: int) -> SignWord:
+    return SignWord(tuple((c > 0) - (c < 0) for c in series_inv_int(list(p.coeffs), order)))
+
+
 def test_reciprocal_prefix_geometric():
-    assert reciprocal_prefix(IntPoly((1, -1)), 6) == [1] * 7
-    assert reciprocal_prefix(IntPoly((1, 1)), 5) == [1, -1, 1, -1, 1, -1]
+    assert series_inv_int([1, -1], 6) == [1] * 7
+    assert series_inv_int([1, 1], 5) == [1, -1, 1, -1, 1, -1]
     with pytest.raises(ValueError):
-        reciprocal_prefix(IntPoly((2, 1)), 3)
+        series_inv_int([2, 1], 3)
 
 
 def test_reciprocal_prefix_matches_sum_row():
     # coefficients of 1/(1 + f_A) are the k = 0 alternating sums
     spec = parse_spec("{2,3}")
     row = sk_fast(spec, 0, 40).row(0)
-    assert reciprocal_prefix(denom_poly(spec), 40) == list(row)
+    assert series_inv_int(list(denom_poly(spec).coeffs), 40) == list(row)
 
 
 def test_bridge_no_short_period_when_certified():
     for p in (P23, P14):
         assert check_nonperiodic(p).verdict == NOT_EVENTUALLY_PERIODIC
-        word = SignWord(tuple(reciprocal_sign_prefix(p, 2000)))
+        word = _reciprocal_signs(p, 2000)
         finding = detect_period(word, 50, 200)
         assert finding.verdict == NO_PERIOD
 
@@ -487,5 +490,5 @@ def test_random_polys_never_crash_and_bridge_holds():
         json.dumps(rep.to_json())
         assert rep.verdict in (NOT_EVENTUALLY_PERIODIC, INCONCLUSIVE)
         if rep.verdict == NOT_EVENTUALLY_PERIODIC:
-            word = SignWord(tuple(reciprocal_sign_prefix(p, 700)))
+            word = _reciprocal_signs(p, 700)
             assert detect_period(word, 30, 100).verdict == NO_PERIOD

@@ -11,7 +11,6 @@ from compsigns.compositions import (
     CompPolyTable,
     IdentityFailure,
     IdentityReport,
-    QSeries,
 )
 from compsigns.explorer import (
     HORIZON_NOTE,
@@ -19,7 +18,6 @@ from compsigns.explorer import (
     EnumerationResult,
     RepunitProbe,
     SubsetSumCheck,
-    SupersetSearch,
 )
 from compsigns.nonperiodic import (
     CertConfig,
@@ -54,7 +52,6 @@ SAMPLES = {
     IntPoly: dict(coeffs=(1, -2, 3)),
     RatSeries: dict(coeffs=(Fraction(1), Fraction(-1, 2))),
     CompPolyTable: dict(set=S, upto=1, polys=(IntPoly((1,)), IntPoly((0, 1)))),
-    QSeries: dict(set=S, coeffs=RatSeries((Fraction(1, 2),))),
     IdentityFailure: dict(identity="parity", n=4, coeff_index=2),
     IdentityReport: dict(set=S, upto=9, method="eval", results={"parity": None}),
     SkGrid: dict(set=S, K=0, N=2, values=((1, -1, 2),)),
@@ -69,8 +66,6 @@ SAMPLES = {
     SubsetSumCheck: dict(base=S, constructed=S, upto=12, mismatch_at=None),
     EnumerationResult: dict(n=2, horizon=8, count=3, first_violations=(None, 5, None, None),
                             note="x"),
-    SupersetSearch: dict(base=S, budget=1, horizon=30, universe_cap=9, additions=((3,),),
-                         note="y"),
     RepunitProbe: dict(m=4, horizon=100, members=(1, 4, 5), first_violation=None, note="z"),
     CertConfig: dict(precision=64, residual_tol=0.5, gap_tol=0.25, unity_tol=0.125,
                      exact=True, exact_max_degree=3, max_iterations=7),
@@ -89,7 +84,6 @@ DEFAULTS = {
     IntPoly: dict(coeffs=()),
     SignWord: dict(set=None, k=0, normalized=True),
     EnumerationResult: dict(note=HORIZON_NOTE),
-    SupersetSearch: dict(note=HORIZON_NOTE),
     RepunitProbe: dict(note=HORIZON_NOTE),
     CertConfig: dict(precision=256, residual_tol=2.0**-128, gap_tol=2.0**-20,
                      unity_tol=2.0**-20, exact=False, exact_max_degree=12,

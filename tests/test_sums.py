@@ -9,7 +9,6 @@ from oracles import alt_moment_sum
 from compsigns.sums import (
     IntegralityError,
     grid_csv,
-    grid_json_summary,
     normalized_violation,
     sk_direct,
     sk_fast,
@@ -151,10 +150,3 @@ def test_grid_csv_and_summary():
     assert lines[0] == "k,n,S"
     assert lines[1] == "0,0,1"
     assert lines[-1] == "1,4,1"
-    summary = grid_json_summary(grid)
-    assert summary["set"] == "{1,2,3}@1000"
-    assert summary["K"] == 1 and summary["N"] == 4
-    assert len(summary["row_checksums"]) == 2
-    row0 = grid.row(0)
-    assert summary["row_checksums"][0] == str(
-        sum((n + 1) * v for n, v in enumerate(row0)))
