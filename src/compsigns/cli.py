@@ -215,12 +215,14 @@ def _cmd_sk(args):
     grids = {name: fn(spec, args.K, args.N) for name, fn in ROUTES.items()}
     names = sorted(grids)
     first = grids[names[0]]
-    for k in range(args.K + 1):
-        for n in range(args.N + 1):
-            vals = {name: grids[name].value(k, n) for name in names}
-            if len(set(vals.values())) != 1:
-                shown = ", ".join(f"{name}={vals[name]}" for name in names)
-                raise InternalError(f"routes disagree at k={k} n={n}: {shown}")
+    if any(grids[name].values != first.values for name in names):
+        # rare and fatal: only now find the first (k, n) to report
+        for k in range(args.K + 1):
+            for n in range(args.N + 1):
+                vals = {name: grids[name].value(k, n) for name in names}
+                if len(set(vals.values())) != 1:
+                    shown = ", ".join(f"{name}={vals[name]}" for name in names)
+                    raise InternalError(f"routes disagree at k={k} n={n}: {shown}")
     return 0, [("grid.csv", grid_csv(first))]
 
 

@@ -415,7 +415,8 @@ def counts_csv(spec: SetSpec, upto: int) -> str:
 
 def triangle_csv(table: CompPolyTable) -> str:
     lines = ["n,i,c_A(i,n)"]
-    for n in range(table.upto + 1):
-        for i in range(n + 1):
-            lines.append(f"{n},{i},{table.by_parts(i, n)}")
+    for n, poly in enumerate(table.polys):
+        row = poly.coeffs  # trailing zeros trimmed, but every i <= n gets a line
+        lines.extend(f"{n},{i},{c}" for i, c in enumerate(row))
+        lines.extend(f"{n},{i},0" for i in range(len(row), n + 1))
     return "\n".join(lines) + "\n"

@@ -12,13 +12,16 @@ Four families live here:
 * enumerate_F: scan every subset of {1..N} for non-negativity of the
   normalized k = 0 word up to a horizon.  Row 0 decides membership:
   non-negativity there propagates to every k by the weighted-moment
-  identity, and k = 0 is itself one of the required rows.  A subset
-  that adds an odd part b to a passing subset passes without a scan:
-  the word of A is the series 1/q with q = 1 + sum over a in A of
-  (-x)^a, b odd turns q into q - x^b, and 1/(q - x^b) =
-  sum_j x^(jb) / q^(j+1) keeps non-negative coefficients up to the
-  horizon.  The result keeps one datum per subset, indexed by its bit
-  mask: the first failing n, or None for a pass.
+  identity, and k = 0 is itself one of the required rows.  The word of
+  A is the series 1/q with q = 1 + sum over a in A of (-x)^a.  Adding
+  an odd part b or removing an even part e turns q into q - x^b or
+  q - x^e, and 1/(q - h) = sum_j h^j / q^(j+1) keeps non-negative
+  coefficients up to the horizon, so a passing subset changed either
+  way passes without a scan.  Toggling a part x leaves the word below x
+  as it is, so a first violation below x carries over.  Visiting the
+  masks k ^ E, k ascending and E the even elements, decides every
+  subset a rule reads first.  The result keeps one datum per subset,
+  indexed by its bit mask: the first failing n, or None for a pass.
 * union_relation_check and repunit_extension_experiment: the
   reciprocal-series relation for disjoint unions and the
   repunit-plus-base probe.
@@ -159,27 +162,59 @@ def _mask_members(mask: int, n: int) -> list[int]:
     return [i + 1 for i in range(n) if mask >> i & 1]
 
 
-def _scan_masks(args: tuple[int, int, int, int]) -> list[int | None]:
-    start, stop, n, horizon = args
-    # bit i-1 is element i, so the odd elements sit on the even bits;
-    # tried largest first, which takes fewer probes than smallest first
-    odd_bits = [1 << i for i in range(0, n, 2)][::-1]
-    found = []
-    for mask in range(start, stop):
-        for bit in odd_bits:
-            if mask & bit:
-                # a passing set plus an odd part passes (see enumerate_F).
-                # The smaller mask comes earlier in the scan, but maybe
-                # before this span, where a negative index would wrap
-                sub = mask - bit - start
-                if sub >= 0 and found[sub] is None:
-                    found.append(None)
-                    break
-        else:
-            fv = first_violation(_mask_members(mask, n), horizon)
-            # the kernel reports a pass as -1; nothing past this point sees it
-            found.append(None if fv < 0 else fv)
-    return found
+def _first_violations(masks: list[int], n: int, horizon: int) -> list[int]:
+    # the kernel on each mask, a pass reported as -1
+    return [first_violation(_mask_members(mask, n), horizon) for mask in masks]
+
+
+def _sweep(n: int, horizon: int, mapper, parts: int) -> tuple[int | None, ...]:
+    """First violation of every subset of {1..n} by mask, None for a pass,
+    decided in key order by the rules in enumerate_F's docstring.  The
+    masks no rule decides go to the kernel through ``mapper`` (map, or a
+    pool's map), in ``parts`` interleaved slices."""
+    passed = horizon + 1  # a pass: above every first violation and, as horizon >= 4n, every part
+    even = sum(1 << i for i in range(1, n, 2))  # bit i-1 is element i
+
+    def kernel(keys):
+        masks = [k ^ even for k in keys]
+        out = [0] * len(masks)
+        for i, fvs in enumerate(mapper(_first_violations, [masks[i::parts] for i in range(parts)],
+                                       itertools.repeat(n), itertools.repeat(horizon))):
+            out[i::parts] = fvs
+        return [passed if fv < 0 else fv for fv in out]
+
+    keyed = kernel([0])
+    for t in range(n):
+        # keys top + j, j < top, form one block.  Clearing bit t of a key
+        # gives key j, decided already, and toggles part t + 1: j decides
+        # the key if it passes or fails first at n0 <= t; 0 marks the rest
+        top = 1 << t
+        block = [v if v <= t or v == passed else 0 for v in keyed]
+        todo = [j for j, v in enumerate(block) if not v]
+        while todo:
+            # ascending, so the other predecessors top + j - 2^i of a key
+            # are decided, or wait (-1) on a kernel call of this round
+            ask, wait = [], []
+            for j in todo:
+                fv = waiting = 0
+                for i in range(t):
+                    if j >> i & 1:
+                        v = block[j ^ 1 << i]
+                        if v == passed or 0 < v <= i:  # clearing bit i toggles part i + 1
+                            fv = v
+                            break
+                        waiting |= v < 0
+                if fv:
+                    block[j] = fv
+                else:
+                    block[j] = -1
+                    (wait if waiting else ask).append(j)
+            for j, fv in zip(ask, kernel([top + j for j in ask])):
+                block[j] = fv
+            todo = wait
+        keyed += block
+    return tuple(None if v == passed else v
+                 for v in map(keyed.__getitem__, map(even.__xor__, range(1 << n))))
 
 
 def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
@@ -189,12 +224,26 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
     up to the horizon; the count is only a horizon-certified candidate
     for the true all-n quantity.
 
-    A subset that adds an odd part b to a passing subset A' passes too,
-    so it is decided without running the kernel.  The word of A' is the
-    series u = 1/q with q(x) = 1 + sum over a in A' of (-x)^a; adding
-    odd b turns q into q - x^b, whose inverse sum_j x^(jb) u^(j+1) has
-    coefficients up to the horizon built from those of u alone, so they
-    are non-negative when those of u are.
+    Two rules decide most subsets without running the kernel.  The word
+    of A is the series 1/q_A with q_A(x) = 1 + sum over a in A of (-x)^a.
+
+    * Pass: if 1/q has non-negative coefficients up to the horizon and h
+      has non-negative coefficients, so has 1/(q - h) =
+      sum_j h^j / q^(j+1), whose coefficients up to the horizon are sums
+      of products of those of h and 1/q.  Adding an odd part b to A gives
+      q_A - x^b, and removing an even part e gives q_A - x^e: either way
+      a passing set stays passing.
+    * Carry: the coefficient of x^m in 1/q depends only on those of q up
+      to x^m, so A and A with part x toggled have the same word below x.
+      A first violation n0 < x of one is the first violation of the other.
+
+    The scan visits key k = 0 .. 2^n - 1 as the mask k ^ E, E the bits of
+    the even elements.  Clearing a set bit of a key either removes an odd
+    part or adds an even part, so every predecessor of a key comes
+    earlier.  A key passes if a predecessor passes, else it takes the
+    first violation n0 of a predecessor that toggles a part x > n0, and
+    only else goes to the kernel.  The calling process makes every
+    decision; with jobs > 1 a process pool runs the kernel calls.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -206,21 +255,14 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # a forked pool starts every worker at once; more than the CPUs buy nothing
     jobs = min(jobs, os.cpu_count() or 1)
-    total = 1 << n
-    if jobs > 1 and total >= 256:
-        chunk = (total + jobs - 1) // jobs
-        spans = [(lo, min(lo + chunk, total), n, horizon)
-                 for lo in range(0, total, chunk)]
+    if jobs > 1 and n >= 8:
         # imported here: only a pooled scan needs the process machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # map keeps span order and the spans tile 0..total ascending
-            first_violations = list(itertools.chain.from_iterable(
-                pool.map(_scan_masks, spans)))
+            first_violations = _sweep(n, horizon, pool.map, jobs)
     else:
-        first_violations = _scan_masks((0, total, n, horizon))
-    count = first_violations.count(None)
-    return EnumerationResult(n, horizon, count, tuple(first_violations))
+        first_violations = _sweep(n, horizon, map, 1)
+    return EnumerationResult(n, horizon, first_violations.count(None), first_violations)
 
 
 # rows per write call of the two writers below: a few KB to a few tens of
@@ -228,14 +270,13 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
 _CHUNK_BITS = 8
 
 # one verdict object as json.dumps(indent=2, sort_keys=True) prints it
-# inside the top-level "verdicts" list, preceded by the list separator
-_ROW = (',\n    {{\n      "first_violation": {},\n      "k0_ok": {},\n'
-        '      "mask": {},\n      "members": {}\n    }}')
+# inside the top-level "verdicts" list, preceded by the list separator:
+# _OPEN, the verdict, _MASK, the mask, _MEMBERS, the member list, _CLOSE
+_OPEN = ',\n    {\n      "first_violation": '
+_MASK = ',\n      "mask": '
+_MEMBERS = ',\n      "members": '
+_CLOSE = "\n    }"
 _ITEM = ",\n        "
-
-
-def _members_text(items: str) -> str:
-    return "[\n        " + items + "\n      ]" if items else "[]"
 
 
 def enumeration_json(result: EnumerationResult, write, schema: str) -> None:
@@ -247,23 +288,30 @@ def enumeration_json(result: EnumerationResult, write, schema: str) -> None:
     write("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
                            for k, v in sorted(header.items()))
           + '  "verdicts": [')
+    fvs = result.first_violations
+    # each distinct first violation, with the text from _OPEN to the mask
+    verdict = {fv: _OPEN + ('null,\n      "k0_ok": true' if fv is None
+                            else f'{fv},\n      "k0_ok": false') + _MASK
+               for fv in set(fvs)}
     # a mask splits into its low _CHUNK_BITS bits, which index one row of a
     # block, and its high bits, which are the same for the whole block
     low = min(result.n, _CHUNK_BITS)
     low_items = [_ITEM.join(map(str, _mask_members(m, low))) for m in range(1 << low)]
-    fvs = result.first_violations
+    # the member list is opened by the low members, closed by the high ones
+    opened = [_MEMBERS + "[\n        " + (items + _ITEM if items else "") for items in low_items]
+    alone = [_MEMBERS + ("[\n        " + items + "\n      ]" if items else "[]") + _CLOSE
+             for items in low_items]
+    size = 1 << low
     for high in range(1 << (result.n - low)):
         base = high << low
         high_items = _ITEM.join(str(i + low) for i in _mask_members(high, result.n - low))
-        rows = []
-        for m, items in enumerate(low_items):
-            fv = fvs[base + m]
-            if high_items:
-                items = items + _ITEM + high_items if items else high_items
-            rows.append(_ROW.format("null" if fv is None else fv,
-                                    "true" if fv is None else "false",
-                                    base + m, _members_text(items)))
-        text = "".join(rows)
+        if high_items:
+            closing = high_items + "\n      ]" + _CLOSE
+            tails = [t + closing for t in opened]
+        else:
+            tails = alone
+        text = "".join([verdict[fv] + str(mask) + tail for fv, mask, tail in
+                        zip(fvs[base:base + size], range(base, base + size), tails)])
         write(text[1:] if high == 0 else text)  # no separator before the first row
     write("\n  ]\n}\n")
 

@@ -406,14 +406,8 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
             d = p.degree
             bound = 2 * d * (d - 1)
             zeta = mp.conj(dominant.root) / abs(dominant.root)
-            best = mp.inf
-            best_at = 0
             orders = totient_candidates(bound)
-            for n in orders:
-                dist = abs(zeta**n - 1)
-                if dist < best:
-                    best = dist
-                    best_at = n
+            best, best_at = _unity_screen(zeta, orders)
             zeta_test = ZetaTest(bound, len(orders), best, best_at)
             if not best > mp.mpf(config.unity_tol):
                 reasons.append(REASON_UNITY)
@@ -436,6 +430,44 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
         return NonPeriodicityReport(p, config, verdict, tuple(reasons),
                                     profile, dominant, zeta_test, exact_test,
                                     tuple(notes))
+
+
+def _unity_screen(zeta: mp.mpc, orders: list[int]) -> tuple[mp.mpf, int]:
+    """Least |zeta^n - 1| over the ascending ``orders``, and the first
+    order that attains it, exactly as the loop computing abs(zeta**n - 1)
+    for every order would report them; orders 1 and 2 must be among them.
+
+    With zeta = e^(2 pi i t), |zeta^n - 1| = 2 sin(pi ||n t||), ||.|| the
+    distance to the nearest integer.  One angle t, in units of 2^-p at
+    the working precision p, gives every ||n t|| by integer arithmetic,
+    and only the orders whose estimate lies within m = 2^(24 - p) *
+    max(orders) of the least estimate pay for zeta**n.
+
+    Why nothing else can win: let e bound the error of each estimate of
+    ||n t|| and of each computed |zeta^n - 1|.  Rounding zeta, t and the
+    products costs a small multiple of n * 2^-p, so e < m / 4 with a wide
+    margin.  Let a be the order of the least estimate.  Since
+    min(||t||, ||2t||) <= 1/3, ||a t|| <= 1/3 + 2e.  On [0, 1/2],
+    2 sin(pi f) is increasing and concave, so its chord slope between
+    ||a t|| and any larger f <= 1/2 is at least the one on [0.34, 1/2],
+    which exceeds 1.  An order n off the shortlist has ||n t|| >
+    ||a t|| + m - 2e, so its computed distance exceeds that of a by more
+    than m - 4e > 0: it is neither the least nor tied with it.  When
+    m >= 1/2 every order is on the shortlist.
+    """
+    import mpmath as mp
+
+    scale = 1 << mp.mp.prec
+    turn = int(mp.arg(zeta) / (2 * mp.pi) * scale)
+    near = [min(r, scale - r) for r in (n * turn % scale for n in orders)]
+    cut = min(near) + (orders[-1] << 24)
+    best, best_at = mp.inf, 0
+    for n, f in zip(orders, near):
+        if f <= cut:
+            dist = abs(zeta**n - 1)
+            if dist < best:
+                best, best_at = dist, n
+    return best, best_at
 
 
 def ratio_poly(p: IntPoly) -> IntPoly:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from . import InternalError, Record
 from ._backend import conv_trunc, sk_rows
@@ -126,17 +127,11 @@ def sk_via_conv(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
     _check_kn(k_max, n_max)
     rows = [tuple(sk_fast(spec, 0, n_max).row(0))]
     for k in range(k_max):
-        binom = [comb(k, j) for j in range(k + 1)]
-        nxt = []
-        for n in range(n_max + 1):
-            acc = 0
-            for i in range(n):
-                s = 0
-                for j in range(k + 1):
-                    s += binom[j] * rows[j][n - i] * rows[k - j][i]
-                acc += s
-            nxt.append(acc)
-        rows.append(tuple(nxt))
+        pairs = [(comb(k, j), rows[j], rows[k - j]) for j in range(k + 1)]
+        # the inner sum over i < n as one dot product of S_j(n), ..., S_j(1)
+        # with S_{k-j}(0), ..., S_{k-j}(n-1)
+        rows.append(tuple(sum(c * sum(map(mul, u[n:0:-1], v[:n])) for c, u, v in pairs)
+                          for n in range(n_max + 1)))
     return SkGrid(spec, k_max, n_max, tuple(rows))
 
 

@@ -164,3 +164,14 @@ def first_violation_reference(members, horizon):
         if (v if n % 2 == 0 else -v) < 0:
             return n
     return -1
+
+
+def unity_screen_reference(zeta, orders):
+    """Least |zeta^n - 1| over the orders and the first order attaining it,
+    computing zeta**n for every order at the current mpmath precision."""
+    best, best_at = float("inf"), 0
+    for n in orders:
+        dist = abs(zeta**n - 1)
+        if dist < best:
+            best, best_at = dist, n
+    return best, best_at

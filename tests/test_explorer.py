@@ -182,22 +182,24 @@ def _reference_scan(n, horizon):
     return tuple(None if fv < 0 else fv for fv in fvs)
 
 
-@pytest.mark.parametrize("n, horizon", [(9, 36), (9, 200), (11, 44), (11, 200)])
+@pytest.mark.parametrize("n, horizon", [(0, 0), (1, 4), (2, 8), (9, 36), (9, 200),
+                                        (10, 40), (11, 44), (11, 200), (12, 200)])
 def test_pruned_scan_matches_reference(n, horizon, thread_pool):
-    # passes implied by a passing subset are never scanned, so check every
-    # mask against the plain recurrence; with n odd the top element is odd
-    # and the upper span of a two-way split starts with masks whose subset
-    # without it lies in the lower span
+    # most masks are decided from other masks without the kernel, so check
+    # every mask against the plain recurrence; the scan visits mask k ^ E
+    # at step k, E the even elements, and E differs between odd and even n
     want = _reference_scan(n, horizon)
     for jobs in (1, 2, 3):
         res = enumerate_F(n, horizon, jobs=jobs)
         assert res.first_violations == want, jobs
         assert res.count == want.count(None)
-    assert thread_pool == [2, 3]
+    # scans of fewer than 256 subsets run without a pool
+    assert thread_pool == ([2, 3] if n >= 8 else [])
 
 
 def test_pruned_scan_matches_reference_in_real_pool():
-    assert enumerate_F(11, 200, jobs=2).first_violations == _reference_scan(11, 200)
+    for n in (11, 12):
+        assert enumerate_F(n, 200, jobs=2).first_violations == _reference_scan(n, 200), n
 
 
 def test_enumeration_json_and_csv():

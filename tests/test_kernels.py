@@ -130,6 +130,48 @@ def test_odd_part_keeps_a_pass_and_delays_a_failure(case):
         assert after == -1 or after >= before
 
 
+@st.composite
+def _set_even_part_and_horizon(draw):
+    members = draw(st.sets(st.integers(1, 16), max_size=10))
+    e = draw(st.sampled_from(range(2, 17, 2)))
+    return sorted(members | {e}), e, draw(st.integers(1, 300))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_set_even_part_and_horizon())
+def test_even_part_removed_keeps_a_pass_and_delays_a_failure(case):
+    # with e even, q_{A - {e}} = q_A - x^e, and 1/(q_A - x^e) =
+    # sum_j x^(je) (1/q_A)^(j+1) as for an odd part added.  The subset
+    # scan decides subsets of passing sets missing an even part this way.
+    members, e, horizon = case
+    before = kernels.first_violation(members, horizon)
+    after = kernels.first_violation([a for a in members if a != e], horizon)
+    if before == -1:
+        assert after == -1
+    else:
+        assert after == -1 or after >= before
+
+
+@st.composite
+def _set_part_and_horizon(draw):
+    members = draw(st.sets(st.integers(1, 16), max_size=10))
+    return sorted(members), draw(st.integers(1, 17)), draw(st.integers(1, 300))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_set_part_and_horizon())
+def test_toggled_part_keeps_the_word_below_it(case):
+    # the coefficient of x^n in 1/q_A involves only the parts <= n, so a
+    # first violation below x carries to the set with x toggled
+    members, x, horizon = case
+    toggled = sorted(set(members) ^ {x})
+    assert kernels.sk_rows(members, 0, horizon)[0][:x] == \
+        kernels.sk_rows(toggled, 0, horizon)[0][:x]
+    fv = kernels.first_violation(members, horizon)
+    if 0 <= fv < x:
+        assert kernels.first_violation(toggled, horizon) == fv
+
+
 def test_big_integer_counts():
     # counts grow fast; the kernels must stay on exact ints
     members = [1, 2, 3]

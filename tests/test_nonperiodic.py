@@ -13,6 +13,7 @@ from oracles import (
     cyclotomic_by_division,
     cyclotomic_divides_by_division,
     totient_candidates_by_sieve,
+    unity_screen_reference,
 )
 
 from compsigns import nonperiodic
@@ -35,7 +36,13 @@ from compsigns.nonperiodic import (
     ratio_poly,
     roots_numeric,
 )
-from compsigns.poly import IntPoly, primitive, resultant_in_y, yun_squarefree
+from compsigns.poly import (
+    IntPoly,
+    primitive,
+    resultant_in_y,
+    totient_candidates,
+    yun_squarefree,
+)
 from compsigns.sets import SpecError, explicit, parse_spec
 from compsigns.signs import NO_PERIOD, SignWord, detect_period
 from compsigns.sums import sk_fast
@@ -248,6 +255,37 @@ def test_unity_screen_rejects_cube_roots_of_unity():
     rep = check_nonperiodic(IntPoly((1, 1, 1)))
     assert rep.verdict == INCONCLUSIVE
     assert REASON_UNITY in rep.reasons
+
+
+@pytest.fixture(scope="module")
+def screen_cases():
+    """(orders, upper root of least modulus) of roots of unity, near
+    misses and random polynomials with p(0) = 1, as the certifier picks
+    the root that zeta comes from."""
+    rng = random.Random(1717)
+    polys = [(1, 1, 1), (1, 0, 1), (1, -1, 1), (1, 0, 0, 1, 0, 0, 1), (1, 1, 0, 1)]
+    polys += [(1, *(rng.randint(-3, 3) for _ in range(d - 1)), rng.choice([-2, -1, 1, 2]))
+              for d in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12) for _ in range(3)]
+    cases = []
+    for coeffs in polys:
+        d = len(coeffs) - 1
+        with mp.workprec(300):
+            roots = mp.polyroots(coeffs[::-1], maxsteps=500, extraprec=300)
+        upper = [r for r in roots if r.imag > 0]
+        if upper:
+            cases.append((totient_candidates(2 * d * (d - 1)), min(upper, key=abs)))
+    return cases
+
+
+@pytest.mark.parametrize("precision", [4, 8, 53, 256])
+def test_unity_screen_matches_oracle_loop(precision, screen_cases):
+    # the screen shortlists orders by angle before taking powers; it must
+    # report what taking every power reports, noise digits included
+    for orders, r in screen_cases:
+        with mp.workprec(precision):
+            zeta = mp.conj(r) / abs(r)
+            assert nonperiodic._unity_screen(zeta, orders) == \
+                unity_screen_reference(zeta, orders), r
 
 
 def test_equal_modulus_pairs_ambiguous():
