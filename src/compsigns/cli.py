@@ -26,7 +26,11 @@ failure while emitting exits 4.
 (``#`` comments allowed).  Keys: precision, residual_tol, gap_tol,
 unity_tol, exact_max_degree, max_iterations.  The three tolerances
 (``*_tol``) also accept the exact power form ``2^-20``; the other keys
-take plain integers.
+take plain integers.  ``residual_tol`` must suit ``precision``: root
+refinement stops near 2^-(precision-16), so the default 2^-128 cannot be
+met much below 140 bits, and ``precision=64`` alone ends Inconclusive
+(``root-refinement-did-not-converge``) where adding ``residual_tol=2^-32``
+certifies.
 """
 
 from __future__ import annotations
@@ -163,7 +167,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="scan all subsets of {1..N}")
     p.add_argument("-N", required=True, type=int)
     p.add_argument("--horizon", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for old command lines and otherwise ignored: "
+                        "the scan runs in one process")
     common(p)
 
     p = sub.add_parser("construct", help="build a derived part set")
@@ -330,7 +336,9 @@ def _cmd_nonperiodic(args):
 def _cmd_enumerate(args):
     from .explorer import enumerate_F, enumeration_json, verdicts_csv
 
-    res = enumerate_F(args.N, args.horizon, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    res = enumerate_F(args.N, args.horizon)
     return 0, [("enumerate.json", lambda write: enumeration_json(res, write, SCHEMA)),
                ("verdicts.csv", lambda write: verdicts_csv(res, write))]
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 
 from . import Record
 from ._backend import eval_table, first_violation, series_inv_int
@@ -162,62 +161,43 @@ def _mask_members(mask: int, n: int) -> list[int]:
     return [i + 1 for i in range(n) if mask >> i & 1]
 
 
-def _first_violations(masks: list[int], n: int, horizon: int) -> list[int]:
-    # the kernel on each mask, a pass reported as -1
-    return [first_violation(_mask_members(mask, n), horizon) for mask in masks]
-
-
-def _sweep(n: int, horizon: int, mapper, parts: int) -> tuple[int | None, ...]:
+def _sweep(n: int, horizon: int) -> tuple[int | None, ...]:
     """First violation of every subset of {1..n} by mask, None for a pass,
-    decided in key order by the rules in enumerate_F's docstring.  The
-    masks no rule decides go to the kernel through ``mapper`` (map, or a
-    pool's map), in ``parts`` interleaved slices."""
+    decided in one process in key order by the rules in enumerate_F's
+    docstring; the kernel runs on the masks no rule decides."""
     passed = horizon + 1  # a pass: above every first violation and, as horizon >= 4n, every part
     even = sum(1 << i for i in range(1, n, 2))  # bit i-1 is element i
 
-    def kernel(keys):
-        masks = [k ^ even for k in keys]
-        out = [0] * len(masks)
-        for i, fvs in enumerate(mapper(_first_violations, [masks[i::parts] for i in range(parts)],
-                                       itertools.repeat(n), itertools.repeat(horizon))):
-            out[i::parts] = fvs
-        return [passed if fv < 0 else fv for fv in out]
+    def kernel(key):
+        fv = first_violation(_mask_members(key ^ even, n), horizon)
+        return passed if fv < 0 else fv
 
-    keyed = kernel([0])
+    keyed = [kernel(0)]
     for t in range(n):
         # keys top + j, j < top, form one block.  Clearing bit t of a key
         # gives key j, decided already, and toggles part t + 1: j decides
         # the key if it passes or fails first at n0 <= t; 0 marks the rest
         top = 1 << t
         block = [v if v <= t or v == passed else 0 for v in keyed]
-        todo = [j for j, v in enumerate(block) if not v]
-        while todo:
-            # ascending, so the other predecessors top + j - 2^i of a key
-            # are decided, or wait (-1) on a kernel call of this round
-            ask, wait = [], []
-            for j in todo:
-                fv = waiting = 0
-                for i in range(t):
-                    if j >> i & 1:
-                        v = block[j ^ 1 << i]
-                        if v == passed or 0 < v <= i:  # clearing bit i toggles part i + 1
-                            fv = v
-                            break
-                        waiting |= v < 0
-                if fv:
-                    block[j] = fv
-                else:
-                    block[j] = -1
-                    (wait if waiting else ask).append(j)
-            for j, fv in zip(ask, kernel([top + j for j in ask])):
-                block[j] = fv
-            todo = wait
+        for j, v in enumerate(block):
+            if v:
+                continue
+            # ascending, so the other predecessors top + j - 2^i of the
+            # key are decided too
+            for i in range(t):
+                if j >> i & 1:
+                    v = block[j ^ 1 << i]
+                    if v == passed or v <= i:  # clearing bit i toggles part i + 1
+                        break
+            else:
+                v = kernel(top + j)
+            block[j] = v
         keyed += block
     return tuple(None if v == passed else v
                  for v in map(keyed.__getitem__, map(even.__xor__, range(1 << n))))
 
 
-def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
+def enumerate_F(n: int, horizon: int) -> EnumerationResult:
     """Scan all 2^n subsets of {1..n} (the empty set included).
 
     A subset passes when its normalized k = 0 word has no negative entry
@@ -242,8 +222,7 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
     part or adds an even part, so every predecessor of a key comes
     earlier.  A key passes if a predecessor passes, else it takes the
     first violation n0 of a predecessor that toggles a part x > n0, and
-    only else goes to the kernel.  The calling process makes every
-    decision; with jobs > 1 a process pool runs the kernel calls.
+    only else goes to the kernel.  The scan runs in one process.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -251,17 +230,7 @@ def enumerate_F(n: int, horizon: int, jobs: int = 1) -> EnumerationResult:
         raise ValueError(f"n={n} exceeds the 2^{MASK_BUDGET}-subset budget")
     if horizon < 4 * n:
         raise ValueError(f"horizon {horizon} too short; need >= {4 * n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # a forked pool starts every worker at once; more than the CPUs buy nothing
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and n >= 8:
-        # imported here: only a pooled scan needs the process machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            first_violations = _sweep(n, horizon, pool.map, jobs)
-    else:
-        first_violations = _sweep(n, horizon, map, 1)
+    first_violations = _sweep(n, horizon)
     return EnumerationResult(n, horizon, first_violations.count(None), first_violations)
 
 

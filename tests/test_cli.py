@@ -210,9 +210,9 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     # a fresh process: a non-certifier run loads neither the certifier
     # module nor mpmath, importing the certifier still leaves mpmath out
     # until it runs, and numpy never loads; the process-pool machinery
-    # stays out too.  Each run loads only its own subcommand: no module a
-    # bare interpreter lacks that serves records, crashes, JSON output or
-    # --out alone
+    # stays out too, even for a scan run with --jobs 2.  Each run loads
+    # only its own subcommand: no module a bare interpreter lacks that
+    # serves records, crashes, JSON output or --out alone
     script = textwrap.dedent("""
         import sys
         bare = set(sys.argv[1].split())
@@ -226,6 +226,7 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
         run("signs", "-A", "{2,3}", "-k", "0", "-N", "60", "--normalized",
             "--detect", "10,20")
         run("verify", "--suite", "union", "-A", "{1,3}", "-B", "{2,4}", "-N", "30")
+        run("enumerate", "-N", "8", "--horizon", "32", "--jobs", "2")
         assert "compsigns.nonperiodic" not in sys.modules
         import compsigns.nonperiodic
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
@@ -278,6 +279,23 @@ def test_config_file(tmp_path, capsys):
     code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
     assert code == 0
     assert json.loads(out.out)["config"]["precision"] == 192
+
+
+@pytest.mark.parametrize("text, code, verdict, reasons", [
+    ("precision=64\n", 2, "Inconclusive", ["root-refinement-did-not-converge"]),
+    ("precision=64\nresidual_tol=2^-32\n", 0, "NotEventuallyPeriodic", []),
+], ids=["precision-only", "with-residual-tol"])
+def test_low_precision_needs_a_looser_residual_tol(tmp_path, capsys, text, code, verdict,
+                                                   reasons):
+    # refinement stops near 2^-(precision - 16), out of reach of the
+    # default residual_tol of 2^-128 at 64 bits
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    got, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+    assert got == code
+    report = json.loads(out.out)
+    assert report["verdict"] == verdict
+    assert report["reasons"] == reasons
 
 
 def test_config_rejects_bad_lines(tmp_path, capsys):

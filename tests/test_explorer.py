@@ -1,9 +1,7 @@
 """Tests for the verification experiments and subset scans."""
 
-import concurrent.futures
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,7 +12,6 @@ from oracles import (
     partition_count,
 )
 
-from compsigns import explorer
 from compsigns.explorer import (
     HORIZON_NOTE,
     CofiniteCheck,
@@ -134,12 +131,6 @@ def test_enumerate_count_monotone_in_horizon():
     assert counts[0] >= counts[1] >= counts[2]
 
 
-def test_enumerate_parallel_matches_serial():
-    serial = enumerate_F(8, 64)
-    parallel = enumerate_F(8, 64, jobs=2)
-    assert serial == parallel
-
-
 def test_enumerate_guards():
     with pytest.raises(ValueError):
         enumerate_F(30, 200)
@@ -147,33 +138,6 @@ def test_enumerate_guards():
         enumerate_F(23, 200)
     with pytest.raises(ValueError):
         enumerate_F(8, 10)  # horizon < 4n
-    with pytest.raises(ValueError):
-        enumerate_F(8, 64, jobs=0)
-
-
-@pytest.fixture
-def thread_pool(monkeypatch):
-    """Run pooled scans in-thread on a machine that reports three CPUs;
-    the returned list collects the requested pool sizes."""
-    requested = []
-
-    class FakePool(ThreadPoolExecutor):
-        # records the requested pool size, then runs on one thread
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-            super().__init__(max_workers=1)
-
-    # enumerate_F imports the pool class only when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
-    return requested
-
-
-def test_enumerate_jobs_capped_at_cpu_count(thread_pool):
-    serial = enumerate_F(8, 64)
-    assert enumerate_F(8, 64, jobs=10**9) == serial
-    assert enumerate_F(8, 64, jobs=2) == serial
-    assert thread_pool == [3, 2]
 
 
 def _reference_scan(n, horizon):
@@ -184,22 +148,14 @@ def _reference_scan(n, horizon):
 
 @pytest.mark.parametrize("n, horizon", [(0, 0), (1, 4), (2, 8), (9, 36), (9, 200),
                                         (10, 40), (11, 44), (11, 200), (12, 200)])
-def test_pruned_scan_matches_reference(n, horizon, thread_pool):
+def test_pruned_scan_matches_reference(n, horizon):
     # most masks are decided from other masks without the kernel, so check
     # every mask against the plain recurrence; the scan visits mask k ^ E
     # at step k, E the even elements, and E differs between odd and even n
     want = _reference_scan(n, horizon)
-    for jobs in (1, 2, 3):
-        res = enumerate_F(n, horizon, jobs=jobs)
-        assert res.first_violations == want, jobs
-        assert res.count == want.count(None)
-    # scans of fewer than 256 subsets run without a pool
-    assert thread_pool == ([2, 3] if n >= 8 else [])
-
-
-def test_pruned_scan_matches_reference_in_real_pool():
-    for n in (11, 12):
-        assert enumerate_F(n, 200, jobs=2).first_violations == _reference_scan(n, 200), n
+    res = enumerate_F(n, horizon)
+    assert res.first_violations == want
+    assert res.count == want.count(None)
 
 
 def test_enumeration_json_and_csv():
