@@ -73,6 +73,12 @@ def _spec(text: str, need: int) -> SetSpec:
     return parse_spec(text, horizon=max(DEFAULT_HORIZON, need))
 
 
+def _q_spec(text: str, n: int) -> SetSpec:
+    """_spec for the runs of the q-series up to n, which reads the parts
+    up to n + min(A); an explicit @H suffix still wins."""
+    return _spec(text, n + (_spec(text, n).min_element() or 0))
+
+
 _POWER = re.compile(r"^2\^(-?\d+)$")
 
 
@@ -214,7 +220,7 @@ def _cmd_polys(args):
 def _cmd_sk(args):
     from .sums import grid_csv
 
-    spec = _spec(args.A, args.N)
+    spec = _q_spec(args.A, args.N)
     if args.route != "all":
         grid = ROUTES[args.route](spec, args.K, args.N)
         return 0, [("grid.csv", grid_csv(grid))]
@@ -258,7 +264,7 @@ def _cmd_verify(args):
 
         if not args.A:
             raise SpecError("verify --suite section2 needs -A")
-        report = verify_identities(_spec(args.A, args.N), args.N)
+        report = verify_identities(_q_spec(args.A, args.N), args.N)
         text = "\n".join(report.summary_lines()) + "\n"
         return (0 if report.all_pass else 1), [("verify.txt", text)]
     if suite == "prop33":

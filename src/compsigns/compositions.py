@@ -22,8 +22,6 @@ disagree, which is a bug (InternalError), not a finding.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import InternalError, Record
 from ._backend import (
     comp_poly_rows,
@@ -106,6 +104,8 @@ def q_series(spec: SetSpec, order: int) -> RatSeries:
         raise SpecError("q-series needs a nonempty set")
     if order < 0:
         raise ValueError("order must be non-negative")
+    from fractions import Fraction
+
     members = spec.members_capped(order + m)
     num = [Fraction(0)] * (order + 1)
     den = [Fraction(0)] * (order + 1)

@@ -7,10 +7,10 @@ tuple.  All arithmetic is arbitrary-precision and exact.
 Besides ring operations this module provides the delta operator
 D = t * d/dt, truncated rational power series with exact inversion, and
 the computer-algebra primitives used by the non-periodicity certifier:
-rational gcd, Yun square-free decomposition, root power sums and Newton's
-identities, an exact test for a cyclotomic factor that never builds the
-cyclotomic polynomial, and enumeration of all N whose totient is below a
-bound.
+integer gcd by primitive remainder sequences, Yun square-free
+decomposition, root power sums and Newton's identities, an exact test for
+a cyclotomic factor that never builds the cyclotomic polynomial, and
+enumeration of all N whose totient is below a bound.
 
 The resultant section (Sylvester determinants and interpolation in x) is
 a test oracle only.  The certifier builds its ratio polynomial from power
@@ -21,11 +21,14 @@ tracer (perfbench/shim.py) looks up ``resultant_in_y`` by name.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
+from typing import TYPE_CHECKING
 
 from . import InternalError, Record
 from ._backend import conv, conv_trunc
+
+if TYPE_CHECKING:  # the rational references import fractions where they run
+    from fractions import Fraction
 
 
 def _trim(coeffs) -> tuple:
@@ -119,91 +122,68 @@ def primitive(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(c // g for c in p.coeffs))
 
 
-def _frac_coeffs(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _frac_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division over the rationals; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(r) - 1 < db:
-        return [], r
-    q = [Fraction(0)] * (len(r) - db)
-    for i in range(len(r) - db - 1, -1, -1):
-        c = r[i + db] / lead
+def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Remainder of lead(b)^s * a by a nonzero b, s <= deg a - deg b + 1."""
+    r = list(a.coeffs)
+    for top in range(len(r) - 1, b.degree - 1, -1):
+        c = r[top]
         if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                r[i + j] -= c * bj
-    return _frac_trim(q), _frac_trim(r[:db])
+            r = [b.lead * x for x in r]
+            for j, bj in enumerate(b.coeffs, top - b.degree):
+                r[j] -= c * bj
+    return IntPoly(r)
 
 
-def _frac_to_intpoly(a: list[Fraction]) -> IntPoly:
-    """Clear denominators, then reduce to the primitive integer polynomial."""
-    if not a:
-        return IntPoly()
-    den = 1
-    for c in a:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return primitive(IntPoly(tuple(int(c * den) for c in a)))
-
-
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over the rationals by Euclid's algorithm; gcd(0, 0) = 0."""
-    while b:
-        a, b = b, _frac_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for a b that divides a in Z[x]; a remainder is a broken
+    invariant and raises InternalError."""
+    r, q = list(a.coeffs), []
+    for top in range(len(r) - 1, b.degree - 1, -1):
+        c = r[top] // b.lead
+        q.append(c)
+        for j, bj in enumerate(b.coeffs, top - b.degree):
+            r[j] -= c * bj
+    if any(r):
+        raise InternalError(
+            f"a degree {b.degree} divisor leaves a remainder on degree {a.degree}")
+    return IntPoly(q[::-1])
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient; gcd(0, 0) = 0."""
-    return _frac_to_intpoly(_frac_gcd(_frac_coeffs(a), _frac_coeffs(b)))
+    """Primitive gcd with positive leading coefficient; gcd(0, 0) = 0.
+
+    Primitive remainder sequence (Brown 1971): Euclid on pseudo-remainders,
+    each reduced to its primitive part.  Contents play no part.
+    """
+    a, b = primitive(a), primitive(b)
+    while not b.is_zero:
+        a, b = b, primitive(_pseudo_rem(a, b))
+    return a
 
 
 def yun_squarefree(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Square-free decomposition: pairs (factor, multiplicity) with the
     factors primitive, pairwise coprime, and p = c * prod factor^mult.
 
-    Constant factors are dropped; the input must be nonzero.
+    Constant factors are dropped; the input must be nonzero.  Yun's steps
+    run on the primitive part of p, and every divisor is a primitive factor
+    of its dividend over Q, so by Gauss's lemma every division is exact.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    fp = _frac_coeffs(p)
-
-    def deriv(f):
-        return [i * c for i, c in enumerate(f) if i]
-
+    f = primitive(p)
+    g = poly_gcd(f, f.derivative())
+    w = _exact_quotient(f, g)
+    y = _exact_quotient(f.derivative(), g)
     out = []
-    g = _frac_gcd(fp, deriv(fp))
-    w = _frac_divmod(fp, g)[0]
-    y = _frac_divmod(deriv(fp), g)[0]
     i = 1
-    while len(w) > 1:
-        dw = deriv(w)
-        m = max(len(y), len(dw))
-        z = [(y[k] if k < len(y) else Fraction(0))
-             - (dw[k] if k < len(dw) else Fraction(0)) for k in range(m)]
-        z = _frac_trim(z)
-        gi = _frac_gcd(w, z)
-        if len(gi) > 1:
-            out.append((_frac_to_intpoly(gi), i))
-        w = _frac_divmod(w, gi)[0]
-        y = _frac_divmod(z, gi)[0]
+    while w.degree > 0:
+        z = y - w.derivative()
+        h = poly_gcd(w, z)
+        if h.degree > 0:
+            out.append((h, i))
+        w = _exact_quotient(w, h)
+        y = _exact_quotient(z, h)
         i += 1
     return out
 
@@ -341,6 +321,8 @@ def resultant_in_y(a: IntPoly, b_rows: list[IntPoly]) -> IntPoly:
 def _interpolate_int(xs: list[int], ys: list[int]) -> IntPoly:
     """Lagrange interpolation through integer points; the answer must be an
     integer polynomial (raises if not)."""
+    from fractions import Fraction
+
     n = len(xs)
     acc = [Fraction(0)] * n
     for i in range(n):
@@ -445,6 +427,8 @@ class RatSeries(Record):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        from fractions import Fraction
+
         object.__setattr__(
             self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
         if not self.coeffs:
@@ -468,6 +452,8 @@ def series_inverse(f: RatSeries) -> RatSeries:
     """Reciprocal series g with f*g = 1 up to the order of f."""
     if f.coeffs[0] == 0:
         raise ValueError("series with zero constant term has no reciprocal")
+    from fractions import Fraction
+
     c0 = f.coeffs[0]
     inv = [1 / c0] + [Fraction(0)] * f.order
     for n in range(1, f.order + 1):

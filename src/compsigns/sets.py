@@ -149,8 +149,10 @@ class SetSpec(Record):
         return x
 
     def all_odd(self) -> bool:
-        """True if every member up to the horizon is odd."""
-        return all(a % 2 for a in self.members_up_to(self.horizon))
+        """True if every member is odd; infinite kinds are read up to the
+        horizon, finite kinds in full."""
+        return all(a % 2 for a in self.members_capped(
+            None if self.is_finite else self.horizon))
 
     # -- rendering --------------------------------------------------------
 

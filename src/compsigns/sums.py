@@ -20,8 +20,7 @@ cross-validate each other exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from . import InternalError, Record
@@ -112,8 +111,9 @@ def sk_via_q(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
         for n, acc in enumerate(scaled):
             val, rem = divmod(acc, powers[n + 1])
             if rem:
+                g = gcd(acc, powers[n + 1])
                 raise IntegralityError(
-                    f"S_{k + 1}({n}) came out {Fraction(acc, powers[n + 1])} "
+                    f"S_{k + 1}({n}) came out {acc // g}/{powers[n + 1] // g} "
                     f"for {spec.render()}")
             nxt.append(val)
         rows.append(tuple(nxt))

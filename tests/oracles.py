@@ -7,7 +7,9 @@ meaningful.
 """
 
 from collections import Counter
-from math import factorial, prod
+from fractions import Fraction
+from itertools import zip_longest
+from math import factorial, gcd, lcm, prod
 
 
 def compositions_of(parts, n):
@@ -132,6 +134,75 @@ def cyclotomic_by_division(n):
 def cyclotomic_divides_by_division(m, r):
     """True if the m-th cyclotomic polynomial divides r, by trial division."""
     return monic_divmod(r, cyclotomic_by_division(m))[1].is_zero
+
+
+def _rational_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _rational_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists over Q, by
+    schoolbook long division; b must be nonzero."""
+    r, db = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(r) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db] / b[-1]
+        for j, bj in enumerate(b):
+            r[i + j] -= c * bj
+    return _rational_trim(q), _rational_trim(r[:db])
+
+
+def _rational_gcd(a, b):
+    """Monic gcd of Fraction coefficient lists by Euclid over Q;
+    gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _rational_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _monic_to_primitive(a):
+    """The primitive integer polynomial with positive lead that is a
+    rational multiple of the monic (or zero) Fraction list a."""
+    from compsigns.poly import IntPoly
+
+    den = lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    g = gcd(*ints)
+    return IntPoly(tuple(c // g for c in ints))
+
+
+def _rational_derivative(f):
+    return [i * c for i, c in enumerate(f) if i]
+
+
+def gcd_over_q(a, b):
+    """poly_gcd reference: the monic gcd over Q by Euclid, scaled to the
+    primitive integer polynomial with positive lead."""
+    return _monic_to_primitive(_rational_gcd([Fraction(c) for c in a.coeffs],
+                                             [Fraction(c) for c in b.coeffs]))
+
+
+def squarefree_over_q(p):
+    """yun_squarefree reference: Yun's steps over Q on monic gcds, with
+    each factor scaled to the primitive integer polynomial; p nonzero."""
+    f = [Fraction(c) for c in p.coeffs]
+    g = _rational_gcd(f, _rational_derivative(f))
+    w = _rational_divmod(f, g)[0]
+    y = _rational_divmod(_rational_derivative(f), g)[0]
+    out = []
+    i = 1
+    while len(w) > 1:
+        z = _rational_trim([u - v for u, v in
+                            zip_longest(y, _rational_derivative(w), fillvalue=0)])
+        h = _rational_gcd(w, z)
+        if len(h) > 1:
+            out.append((_monic_to_primitive(h), i))
+        w = _rational_divmod(w, h)[0]
+        y = _rational_divmod(z, h)[0]
+        i += 1
+    return out
 
 
 def totient_candidates_by_sieve(d):

@@ -13,9 +13,10 @@ import pytest
 from oracles import alt_moment_sum
 
 import compsigns
-from compsigns import InternalError, cli, compositions, explorer, nonperiodic, sums
+from compsigns import InternalError, cli, compositions, explorer, nonperiodic, poly, sums
 from compsigns.cli import load_config, main
 from compsigns.explorer import enumerate_F
+from compsigns.poly import IntPoly
 from compsigns.sets import parse_spec
 from compsigns.sums import SkGrid, sk_fast
 
@@ -133,6 +134,27 @@ def test_verify_suites_widen_the_default_horizon_to_n(capsys, argv, lines):
     assert out.out.splitlines() == lines
 
 
+def test_sk_q_route_widens_the_default_horizon(capsys):
+    # the q-series up to n reads the parts up to n + min(A)
+    code, fast = run(capsys, "sk", "-A", "repunit(3)", "-K", "1", "-N", "1000")
+    assert code == 0, fast.err
+    code, out = run(capsys, "sk", "-A", "repunit(3)", "-K", "1", "-N", "1000",
+                    "--route", "q")
+    assert code == 0, out.err
+    assert out.out == fast.out
+
+
+@pytest.mark.parametrize("spec, code", [("N+\\{1}", 0), ("N+\\{1}@40", 3)])
+def test_section2_widens_the_default_horizon_unless_given(capsys, monkeypatch, spec, code):
+    monkeypatch.setattr(cli, "DEFAULT_HORIZON", 40)
+    got, out = run(capsys, "verify", "--suite", "section2", "-A", spec, "-N", "40")
+    assert got == code, out.err
+    if code == 0:
+        assert out.out.splitlines() == [f"{name}: pass" for name in compositions.IDENTITY_NAMES]
+    else:
+        assert "query n=42 exceeds horizon 40" in out.err
+
+
 def test_verify_missing_suite_input(capsys):
     code, out = run(capsys, "verify", "--suite", "thm36", "-N", "40")
     assert code == 3
@@ -154,6 +176,15 @@ def test_nonperiodic_exit_codes(capsys):
     assert code == 3
 
 
+def test_nonperiodic_reads_a_finite_set_past_its_horizon(capsys):
+    # the even part 12 lies past the horizon 10, and the set still has it
+    code, out = run(capsys, "nonperiodic", "-A", "{1,12}")
+    assert code == 0, out.err
+    code, short = run(capsys, "nonperiodic", "-A", "{1,12}@10")
+    assert code == 0, short.err
+    assert short.out == out.out
+
+
 def test_nonperiodic_exact_flag(capsys):
     code, out = run(capsys, "nonperiodic", "-A", "{1,4}", "--exact")
     assert code == 0
@@ -171,6 +202,16 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out.out == ""
     assert "internal error: invariant broken on purpose" in out.err
+
+
+def test_inexact_division_in_yun_exits_4(capsys, monkeypatch):
+    # a gcd that does not divide its argument leaves a remainder in one of
+    # Yun's divisions over the integers: a broken invariant, not a verdict
+    monkeypatch.setattr(poly, "poly_gcd", lambda a, b: IntPoly((1, 1)))
+    code, out = run(capsys, "nonperiodic", "-p", "1,1,1")
+    assert code == 4
+    assert out.out == ""
+    assert "internal error: a degree 1 divisor leaves a remainder" in out.err
 
 
 def test_unlocatable_identity_failure_exits_4(capsys, monkeypatch):
@@ -210,7 +251,8 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     # a fresh process: a non-certifier run loads neither the certifier
     # module nor mpmath, importing the certifier still leaves mpmath out
     # until it runs, and numpy never loads; the process-pool machinery
-    # stays out too, even for a scan run with --jobs 2.  Each run loads
+    # stays out too, even for a scan run with --jobs 2, and no run, the
+    # certifier's included, loads fractions or decimal.  Each run loads
     # only its own subcommand: no module a bare interpreter lacks that
     # serves records, crashes, JSON output or --out alone
     script = textwrap.dedent("""
@@ -218,8 +260,12 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
         bare = set(sys.argv[1].split())
         import compsigns.cli
 
+        def no_fraction_modules():
+            assert not {"fractions", "decimal"} & set(sys.modules), sys.modules
+
         def run(*argv):
             assert compsigns.cli.main(list(argv)) == 0
+            no_fraction_modules()
             print("new", argv[0], " ".join(sorted(set(sys.modules) - bare)))
 
         run("counts", "-A", "{1,2}", "-N", "5")
@@ -232,6 +278,7 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
         print("pool", "concurrent.futures.process" in sys.modules)
         assert compsigns.cli.main(["nonperiodic", "-p", "1,1,1"]) == 2
+        no_fraction_modules()
         print("loaded", sorted(m for m in ("numpy", "mpmath") if m in sys.modules))
         run("counts", "-A", "{1,2}", "-N", "5", "--out", sys.argv[2])
     """)

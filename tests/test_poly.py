@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from oracles import (
     cyclotomic_by_division,
     cyclotomic_divides_by_division,
+    gcd_over_q,
+    squarefree_over_q,
     totient_candidates_by_sieve,
 )
 
-from compsigns import InternalError
+from compsigns import InternalError, poly
 from compsigns.nonperiodic import denom_poly, ratio_poly
 from compsigns.poly import (
     IntPoly,
@@ -238,6 +240,45 @@ def test_yun_reconstructs_random_products():
         assert rebuilt == primitive(p)
         for f, m in got:
             assert poly_gcd(f, f.derivative()).degree == 0  # square-free parts
+
+
+_FACTOR = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_FACTOR, st.integers(1, 3)), max_size=3),
+       st.integers(-12, 12).filter(bool),
+       st.lists(_FACTOR, max_size=2),
+       st.integers(-4, 4))
+def test_integer_gcd_and_yun_match_the_rational_reference(factors, scale, others, other_scale):
+    # products of random factors with multiplicities 1-3, scaled by a
+    # content that may be negative; no factor at all gives a constant, and
+    # other_scale = 0 a zero argument
+    p = IntPoly((scale,))
+    for f, m in factors:
+        for _ in range(m):
+            p = p * IntPoly(tuple(f))
+    assert yun_squarefree(p) == squarefree_over_q(p)
+    q = IntPoly((other_scale,))
+    for f in others + [f for f, _ in factors[:1]]:
+        q = q * IntPoly(tuple(f))
+    for a, b in ((p, q), (q, p), (q, q), (q, IntPoly())):
+        assert poly_gcd(a, b) == gcd_over_q(a, b)
+
+
+def test_yun_on_a_dense_square():
+    # the rational Euclid's coefficients blow up on this input
+    rng = random.Random(7)
+    big = IntPoly(tuple([1] + [rng.randint(-100, 100) for _ in range(39)] + [3]))
+    assert yun_squarefree(big * big) == [(big, 2)]
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    assert poly._exact_quotient(IntPoly((-1, 0, 1)), IntPoly((1, 1))) == IntPoly((-1, 1))
+    with pytest.raises(InternalError):
+        poly._exact_quotient(IntPoly((1, 0, 1)), IntPoly((1, 1)))
+    with pytest.raises(InternalError):
+        poly._exact_quotient(IntPoly((1, 1)), IntPoly((1, 2)))
 
 
 def test_cyclotomic():

@@ -117,6 +117,7 @@ def test_contains():
 def test_parity_split_and_all_odd():
     assert not parse_spec("{1,3,4,6}").all_odd()
     assert parse_spec("{1,3,9}").all_odd()
+    assert not parse_spec("{1,12}@10").all_odd()  # a finite set is read in full
     assert parse_spec("repunit(2)@200").all_odd()
     assert not parse_spec("repunit(3)@200").all_odd()
 

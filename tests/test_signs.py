@@ -150,6 +150,8 @@ def test_check_odd_set():
     assert res2.passed
     with pytest.raises(SpecError):
         check_odd_set(parse_spec("{1,2}"), 50)
+    with pytest.raises(SpecError):  # the even member lies past the horizon
+        check_odd_set(parse_spec("{1,12}@10"), 8)
 
 
 def test_check_even_range_conjecture():
