@@ -7,7 +7,9 @@ counterexample is emitted), 2 inconclusive, 3 usage error, 4 internal
 error: a bug, never a verdict, reported on stderr alone.  A broken
 invariant (routes that disagree under ``sk --route all``, a non-integer
 value from an exact division) prints its message; any other unexpected
-exception inside compsigns prints its traceback.
+exception inside compsigns prints its traceback.  A stdout closed before
+the output is written (``| head``) ends the run quietly with 141, the
+code a shell reports for SIGPIPE.
 
 Output protocol: a handler returns its exit code and a list of
 ``(filename, body)`` outputs, where a body is either the text itself or a
@@ -23,20 +25,16 @@ as the handler runs: a file that cannot be written exits 3, any other
 failure while emitting exits 4.
 
 ``--config FILE`` supplies certifier settings as ``key=value`` lines
-(``#`` comments allowed).  Keys: precision, residual_tol, gap_tol,
-unity_tol, exact_max_degree, max_iterations.  The three tolerances
-(``*_tol``) also accept the exact power form ``2^-20``; the other keys
-take plain integers.  ``residual_tol`` must suit ``precision``: root
-refinement stops near 2^-(precision-16), so the default 2^-128 cannot be
-met much below 140 bits, and ``precision=64`` alone ends Inconclusive
-(``root-refinement-did-not-converge``) where adding ``residual_tol=2^-32``
-certifies.
+(``#`` comments allowed).  The one key is ``precision``, an integer
+number of bits, at least 53; the residual bound follows from it, and
+every other tolerance and budget is fixed.  A key that was settable
+before exits 3 with a message that it no longer is.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -79,25 +77,17 @@ def _q_spec(text: str, n: int) -> SetSpec:
     return _spec(text, n + (_spec(text, n).min_element() or 0))
 
 
-_POWER = re.compile(r"^2\^(-?\d+)$")
-
-
-def _num(text: str) -> float:
-    m = _POWER.match(text)
-    if m:
-        return 2.0 ** int(m.group(1))
-    return float(text)
+# once settable, now fixed or derived from precision: a config that sets one is refused
+_RETIRED = ("residual_tol", "gap_tol", "unity_tol", "exact_max_degree", "max_iterations")
 
 
 def load_config(path: str | Path, exact: bool = False) -> CertConfig:
-    """CertConfig from ``key=value`` lines; the keys are CertConfig's
-    fields except ``exact``, which only the --exact flag sets."""
+    """CertConfig from ``key=value`` lines; the one key is ``precision``,
+    and ``exact`` comes from the --exact flag."""
     from pathlib import Path
 
     from .nonperiodic import CertConfig
 
-    known = {name: int if isinstance(default, int) else _num
-             for name, default in CertConfig._field_defaults.items() if name != "exact"}
     settings = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -106,13 +96,14 @@ def load_config(path: str | Path, exact: bool = False) -> CertConfig:
         if "=" not in line:
             raise SpecError(f"bad config line {raw!r} (want key=value)")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key in _RETIRED:
+            raise SpecError(f"{key} is no longer settable: it is fixed or follows from precision")
+        if key != "precision":
             raise SpecError(f"unknown config key {key!r}")
         try:
-            settings[key] = known[key](val)
+            settings[key] = int(val)
         except ValueError:
-            wanted = "an integer" if known[key] is int else "a number or 2^e"
-            raise SpecError(f"{key} must be {wanted}, got {val!r}") from None
+            raise SpecError(f"{key} must be an integer, got {val!r}") from None
     return CertConfig(exact=exact, **settings)
 
 
@@ -442,6 +433,8 @@ def _write_manifest(directory: Path, argv: list[str], args, entries, elapsed: fl
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()  # the manifest's wall time covers the parser too
     argv = list(sys.argv[1:] if argv is None else argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11 caps it at 4300 digits
+        sys.set_int_max_str_digits(0)  # exact integers print in full
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -453,6 +446,7 @@ def main(argv: list[str] | None = None) -> int:
             directory = Path(args.out)
             directory.mkdir(parents=True, exist_ok=True)
         entries = _emit(outputs, directory)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
         if directory is not None:
             _write_manifest(directory, argv, args, entries, time.monotonic() - started)
     except _UsageError as exc:
@@ -464,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # SpecError, HorizonError, bad numbers
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader left; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

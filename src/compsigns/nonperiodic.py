@@ -14,9 +14,9 @@ For part-sets this applies to p = 1 + f_A(x), whose reciprocal
 coefficients are exactly the k = 0 alternating sums.
 
 Verdicts are one-sided: NotEventuallyPeriodic when every hypothesis is
-certified within the configured tolerances, otherwise Inconclusive
-(numeric trouble degrades to Inconclusive, never to a false
-certificate).  Periodicity itself is never certified here.
+certified within the fixed tolerances, otherwise Inconclusive (numeric
+trouble degrades to Inconclusive, never to a false certificate).
+Periodicity itself is never certified here.
 
 The unity test (iii) runs in two tiers.  The numeric screen bounds the
 algebraic degree of zeta by D = 2d(d-1) (zeta^2 is a ratio of two roots
@@ -82,24 +82,28 @@ class RootConvergenceError(RuntimeError):
     """Root refinement missed the requested residual within budget."""
 
 
+# a run chooses only its precision and whether the exact tier runs
+# (CertConfig); every other setting is one of these or residual_target
+MIN_PRECISION = 53          # at 8 and 16 bits 1 + x + x^2 was certified
+MIN_GAP = 2.0**-20          # relative modulus gap between clusters
+MIN_UNITY_DISTANCE = 2.0**-20  # min |zeta^N - 1| over candidate orders
+EXACT_DEGREE_CAP = 12       # ratio polynomial has degree d^2
+SWEEP_BUDGET = 256          # sweeps per refinement pass
+
+
+def residual_target(precision: int) -> float:
+    """t in |p(root)| <= t * (1+|root|)^deg: half the bits of a precision,
+    since refinement stops near 2^-(precision-16), but at most 2^-128."""
+    return 2.0 ** -min(128, precision // 2)
+
+
 class CertConfig(Record):
-    precision: int = 256              # working precision, bits
-    residual_tol: float = 2.0**-128   # |p(root)| <= tol * (1+|root|)^deg
-    gap_tol: float = 2.0**-20         # relative modulus gap between clusters
-    unity_tol: float = 2.0**-20       # min |zeta^N - 1| over candidate orders
-    exact: bool = False               # run the exact unity tier as well
-    exact_max_degree: int = 12        # ratio polynomial has degree d^2
-    max_iterations: int = 256         # sweeps per refinement pass
+    precision: int = 256   # working precision, bits
+    exact: bool = False    # run the exact unity tier as well
 
     def __post_init__(self):
-        # a setting may refuse a certificate but never grant one: a
-        # negative tolerance would empty hypothesis (ii) or (iii)
-        for name, least in (("precision", 1), ("residual_tol", 0), ("gap_tol", 0),
-                            ("unity_tol", 0), ("exact_max_degree", 0),
-                            ("max_iterations", 0)):
-            value = getattr(self, name)
-            if not least <= value < math.inf:
-                raise SpecError(f"{name} must be finite and >= {least}, got {value!r}")
+        if not MIN_PRECISION <= self.precision < math.inf:
+            raise SpecError(f"precision must be >= {MIN_PRECISION} bits, got {self.precision!r}")
 
 
 DEFAULT_CONFIG = CertConfig()
@@ -204,11 +208,11 @@ class NonPeriodicityReport(Record):
             "exact_test": exact,
             "config": {
                 "precision": self.config.precision,
-                "residual_tol": self.config.residual_tol,
-                "gap_tol": self.config.gap_tol,
-                "unity_tol": self.config.unity_tol,
+                "residual_tol": residual_target(self.config.precision),
+                "gap_tol": MIN_GAP,
+                "unity_tol": MIN_UNITY_DISTANCE,
                 "exact": self.config.exact,
-                "exact_max_degree": self.config.exact_max_degree,
+                "exact_max_degree": EXACT_DEGREE_CAP,
             },
         }
 
@@ -233,14 +237,14 @@ def denom_poly(spec: SetSpec) -> IntPoly:
 # -- numeric roots ------------------------------------------------------------
 
 
-def _sweep(factor: IntPoly, roots: list, target, budget: int) -> bool:
+def _sweep(factor: IntPoly, roots: list, target) -> bool:
     """Weierstrass (Durand-Kerner) sweeps over the approximations in
     roots, refined in place, for any number type that IntPoly evaluates.
 
     True once a sweep moves no root by target or more; False when two
-    approximations coincide or the budget runs out first (a step that is
-    not a number never settles)."""
-    for _ in range(budget):
+    approximations coincide or SWEEP_BUDGET runs out first (a step that
+    is not a number never settles)."""
+    for _ in range(SWEEP_BUDGET):
         settled = True
         for i, z in enumerate(roots):
             den = factor.lead
@@ -258,7 +262,7 @@ def _sweep(factor: IntPoly, roots: list, target, budget: int) -> bool:
     return False
 
 
-def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]:
+def _durand_kerner(factor: IntPoly, precision: int) -> list[mp.mpc]:
     """All roots of a square-free integer polynomial: spiral seeds inside
     Fujiwara's bound, refined first in double precision and then at the
     working precision down to 2^-(precision-16)."""
@@ -275,22 +279,22 @@ def _durand_kerner(factor: IntPoly, precision: int, budget: int) -> list[mp.mpc]
     # since a cluster too tight for doubles never settles yet ends near it
     try:
         fast = [complex(z) for z in roots]
-        _sweep(factor, fast, 2.0**-50 * float(radius), budget)
+        _sweep(factor, fast, 2.0**-50 * float(radius))
         if all(map(cmath.isfinite, fast)) and len(set(fast)) == deg:
             roots = [mp.mpc(z) for z in fast]
     except OverflowError:
         pass
-    if not _sweep(factor, roots, mp.mpf(2) ** (16 - precision), budget):
+    if not _sweep(factor, roots, mp.mpf(2) ** (16 - precision)):
         raise RootConvergenceError(
-            f"no convergence for degree {deg} within {budget} sweeps")
+            f"no convergence for degree {deg} within {SWEEP_BUDGET} sweeps")
     return roots
 
 
-def _enforce_conjugates(roots: list[mp.mpc], residual_tol: mp.mpf) -> list[mp.mpc]:
+def _enforce_conjugates(roots: list[mp.mpc], target: mp.mpf) -> list[mp.mpc]:
     """Snap a root list of a real polynomial to exact conjugate symmetry."""
     import mpmath as mp
 
-    im_eps = mp.sqrt(residual_tol)
+    im_eps = mp.sqrt(target)
     real_part = []
     complex_part = []
     for r in roots:
@@ -313,18 +317,13 @@ def _enforce_conjugates(roots: list[mp.mpc], residual_tol: mp.mpf) -> list[mp.mp
     return out
 
 
-def roots_numeric(
-    p: IntPoly,
-    precision: int = DEFAULT_CONFIG.precision,
-    residual_tol: float = DEFAULT_CONFIG.residual_tol,
-    max_iterations: int = DEFAULT_CONFIG.max_iterations,
-) -> RootProfile:
+def roots_numeric(p: IntPoly, precision: int = DEFAULT_CONFIG.precision) -> RootProfile:
     """All complex roots of p with exact multiplicities.
 
     Multiplicity structure comes from the exact square-free decomposition,
     so only square-free factors are refined numerically.  Conjugate
     symmetry is enforced exactly, and every root satisfies the residual
-    bound |p(root)| <= residual_tol * (1 + |root|)^deg(p).
+    bound |p(root)| <= residual_target(precision) * (1 + |root|)^deg(p).
     """
     import mpmath as mp
 
@@ -333,10 +332,10 @@ def roots_numeric(
     if p.coeffs[0] != 1:
         raise ValueError("need constant term 1")
     with mp.workprec(precision):
-        tol = mp.mpf(residual_tol)
+        tol = mp.mpf(residual_target(precision))
         found: list[Root] = []
         for factor, mult in yun_squarefree(p):
-            raw = _durand_kerner(factor, precision, max_iterations)
+            raw = _durand_kerner(factor, precision)
             for r in _enforce_conjugates(raw, tol):
                 res = abs(p(r))
                 bound = tol * (1 + abs(r)) ** p.degree
@@ -361,16 +360,14 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
     if p.coeffs[0] != 1:
         raise ValueError("need constant term 1")
     try:
-        profile = roots_numeric(p, config.precision, config.residual_tol,
-                                config.max_iterations)
+        profile = roots_numeric(p, config.precision)
     except RootConvergenceError:
         return NonPeriodicityReport(
             p, config, INCONCLUSIVE, (REASON_CONVERGENCE,))
 
     with mp.workprec(config.precision):
         reasons: list[str] = []
-        gap_tol = mp.mpf(config.gap_tol)
-        tol = mp.mpf(config.residual_tol)
+        tol = mp.mpf(residual_target(config.precision))
 
         # a conjugate pair shares its modulus exactly, so group by modulus:
         # the tight window collects roots at the minimal modulus, the gap
@@ -397,7 +394,7 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
                            else REASON_DOMINANT_AMBIGUOUS)
 
         # hypothesis (ii): strict relative modulus gap past the pair
-        if pair_ok and not rel_gap > gap_tol:
+        if pair_ok and not rel_gap > MIN_GAP:
             reasons.append(REASON_GAP)
 
         # hypothesis (iii): zeta not a root of unity (numeric screen)
@@ -409,7 +406,7 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
             orders = totient_candidates(bound)
             best, best_at = _unity_screen(zeta, orders)
             zeta_test = ZetaTest(bound, len(orders), best, best_at)
-            if not best > mp.mpf(config.unity_tol):
+            if not best > MIN_UNITY_DISTANCE:
                 reasons.append(REASON_UNITY)
 
         # optional exact tier for (iii); a found divisor means the exact
@@ -419,7 +416,7 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
         exact_test = None
         notes: list[str] = []
         if config.exact and pair_ok:
-            if p.degree > config.exact_max_degree:
+            if p.degree > EXACT_DEGREE_CAP:
                 notes.append(NOTE_EXACT_SKIPPED)
             else:
                 exact_test = _exact_unity_screen(p, bound)

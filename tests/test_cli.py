@@ -317,32 +317,64 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("precision=192\ngap_tol=2^-12\n# note\nunity_tol=1e-6\n")
-    parsed = load_config(cfg)
-    assert parsed.precision == 192
-    assert parsed.gap_tol == 2.0**-12
-    assert parsed.unity_tol == 1e-6
-    assert parsed.residual_tol == 2.0**-128  # untouched default
+    cfg.write_text("precision=192\n# note\n\n")
+    assert load_config(cfg) == nonperiodic.CertConfig(precision=192)
+    assert load_config(cfg, exact=True).exact
     code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
     assert code == 0
-    assert json.loads(out.out)["config"]["precision"] == 192
+    config = json.loads(out.out)["config"]
+    assert config["precision"] == 192
+    assert config["residual_tol"] == 2.0**-96  # derived from the precision
 
 
-@pytest.mark.parametrize("text, code, verdict, reasons", [
-    ("precision=64\n", 2, "Inconclusive", ["root-refinement-did-not-converge"]),
-    ("precision=64\nresidual_tol=2^-32\n", 0, "NotEventuallyPeriodic", []),
+@pytest.mark.parametrize("text, code", [
+    ("precision=64\n", 0),
+    ("precision=64\nresidual_tol=2^-32\n", 3),
 ], ids=["precision-only", "with-residual-tol"])
-def test_low_precision_needs_a_looser_residual_tol(tmp_path, capsys, text, code, verdict,
-                                                   reasons):
-    # refinement stops near 2^-(precision - 16), out of reach of the
-    # default residual_tol of 2^-128 at 64 bits
+def test_low_precision_needs_a_looser_residual_tol(tmp_path, capsys, text, code):
+    # refinement stops near 2^-(precision - 16), out of reach of 2^-128 at
+    # 64 bits: the looser 2^-32 follows from the precision, and a config
+    # that still sets it by hand is refused
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     got, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
     assert got == code
-    report = json.loads(out.out)
-    assert report["verdict"] == verdict
-    assert report["reasons"] == reasons
+    if code == 0:
+        report = json.loads(out.out)
+        assert (report["verdict"], report["reasons"]) == ("NotEventuallyPeriodic", [])
+        assert report["config"]["residual_tol"] == 2.0**-32
+    else:
+        assert out.out == ""
+        assert "residual_tol is no longer settable" in out.err
+
+
+@pytest.mark.parametrize("line", [
+    "residual_tol=2^-128",
+    "gap_tol=2^-20",
+    "unity_tol=2^-20",
+    "exact_max_degree=12",
+    "max_iterations=256",
+])
+def test_config_refuses_retired_keys(tmp_path, capsys, line):
+    # even the value each key used to default to: an old config must not
+    # run under a meaning it was not written for
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("precision=256\n" + line + "\n")
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+    assert code == 3
+    assert out.out == ""
+    assert out.err == f"error: {line.partition('=')[0]} is no longer settable: " \
+        "it is fixed or follows from precision\n"
+
+
+@pytest.mark.parametrize("line", ["precision=8", "precision=4", "unity_tol=0"])
+def test_configs_that_certified_a_period_exit_3(tmp_path, capsys, line):
+    # each once certified 1/(1 + x + x^2), whose signs have period 3
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code, out = run(capsys, "nonperiodic", "-p", "1,1,1", "--config", str(cfg))
+    assert code == 3
+    assert out.out == ""
 
 
 def test_config_rejects_bad_lines(tmp_path, capsys):
@@ -357,6 +389,7 @@ def test_config_rejects_bad_lines(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "precision=0",
+    "precision=52",
     "residual_tol=-1",
     "gap_tol=-1",
     "unity_tol=-1",
@@ -374,11 +407,59 @@ def test_config_value_out_of_range_exits_3(tmp_path, capsys, line):
     assert out.err.startswith("error: " + line.partition("=")[0])
 
 
+# sha256 of the default report bytes, recorded before the certifier's
+# settings were cut to precision and --exact: the defaults must not move
+@pytest.mark.parametrize("argv, code, digest", [
+    (("-A", "{2,3}", "--exact"), 0,
+     "2ed072cf23675efda340087d66e25dd41075b69ede880cafd4db506eaa7a4ee9"),
+    (("-p", "1,-1,-1"), 2,
+     "115c14fbb289829b92120946e077fddf26319d370d32a4d4bb3f3307a1909768"),
+    (("-A", "{2,3,7,60}"), 0,
+     "5f553d1c3fe5f7526190b76305e5b0d9d52dbb2807c36957d5603c7baff49391"),
+], ids=["{2,3}-exact", "1,-1,-1", "{2,3,7,60}"])
+def test_default_reports_keep_their_bytes(capsys, argv, code, digest):
+    got, out = run(capsys, "nonperiodic", *argv)
+    assert got == code
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
 def test_coefficient_too_large_for_a_double(capsys):
     big = str(10**400)
     code, out = run(capsys, "nonperiodic", "-p", f"1,{big},1")
     assert code in (0, 2)
     assert json.loads(out.out)["poly"] == ["1", big, "1"]
+
+
+def test_integers_past_the_digit_limit_print_and_parse(capsys):
+    # Python 3.11 converts an int of more than 4300 digits to or from text
+    # only once the limit is lifted; c_A(14500) for A = 1..16 has 4365
+    code, out = run(capsys, "counts", "-A", "1..16", "-N", "14500")
+    assert code == 0, out.err
+    want = [1]
+    for n in range(1, 14501):
+        want.append(sum(want[max(0, n - 16):]))
+    assert len(str(want[-1])) > 4300
+    assert out.out.rstrip("\n").rpartition("\n")[2] == f"14500,{want[-1]}"
+    # -p reads such an integer instead of calling it malformed
+    coeff = "1" + "0" * 4400
+    code, out = run(capsys, "nonperiodic", "-p", f"1,1,{coeff}")
+    assert code == 2, out.err
+    assert json.loads(out.out)["poly"] == ["1", "1", coeff]
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader leaves after one line, as under `| head -1`
+    src = Path(compsigns.__file__).resolve().parent.parent
+    with subprocess.Popen(
+            [sys.executable, "-m", "compsigns.cli", "enumerate", "-N", "12",
+             "--horizon", "60"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_enumerate_output(capsys):

@@ -6,7 +6,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -125,12 +125,13 @@ def test_roots_rejects_bad_inputs():
         roots_numeric(IntPoly((2, 1)))
 
 
-def test_roots_budget_exhaustion_raises():
+def test_roots_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(nonperiodic, "SWEEP_BUDGET", 0)
     with pytest.raises(RootConvergenceError):
-        roots_numeric(P23, max_iterations=0)
+        roots_numeric(P23)
 
 
-def _check_roots(p, precision, residual_tol):
+def _check_roots(p, precision):
     """roots_numeric(p) counts deg p roots with multiplicity, is closed
     under conjugation, and lead * prod (x - r)^m rebuilds p.  The
     refinement stops once every correction is below 2^-(precision-16),
@@ -139,7 +140,7 @@ def _check_roots(p, precision, residual_tol):
     over the other roots of (1 + |s|)^m, so the rebuild is held to
     deg p * 2^(16-precision) * |lead| * prod (1 + |r|)^m.
     """
-    prof = roots_numeric(p, precision, residual_tol)
+    prof = roots_numeric(p, precision)
     assert prof.degree == p.degree
     with mp.workprec(precision):
         seen = {(r.value.real, r.value.imag, r.multiplicity) for r in prof.roots}
@@ -166,7 +167,7 @@ def _check_roots(p, precision, residual_tol):
 def test_roots_rebuild_square_free_polys(middle, lead, precision):
     p = IntPoly((1, *middle, lead))  # degree 2..30, p(0) = 1
     assume(yun_squarefree(p) == [(p, 1)])
-    _check_roots(p, precision, 2.0 ** -(precision // 2))
+    _check_roots(p, precision)
 
 
 def _record_passes(monkeypatch):
@@ -174,8 +175,8 @@ def _record_passes(monkeypatch):
     passes = []
     sweep = nonperiodic._sweep
 
-    def spy(factor, roots, target, budget):
-        settled = sweep(factor, roots, target, budget)
+    def spy(factor, roots, target):
+        settled = sweep(factor, roots, target)
         passes.append((type(roots[0]), settled))
         return settled
 
@@ -189,7 +190,7 @@ def test_roots_cluster_too_tight_for_doubles(monkeypatch):
     # from where the double pass ended, separates them
     passes = _record_passes(monkeypatch)
     p = IntPoly((1,) + (0,) * 11 + (-50, 20, -2))
-    prof = _check_roots(p, 256, 2.0**-128)
+    prof = _check_roots(p, 256)
     assert passes == [(complex, False), (mp.mpc, True)]
     near = sorted((r.value for r in prof.roots), key=lambda z: abs(z - 5))[:2]
     assert 8e-5 < abs(near[0] - near[1]) < 1e-4
@@ -201,7 +202,7 @@ def test_roots_coefficient_too_large_for_a_double(monkeypatch):
     # reach far below 10^-400
     passes = _record_passes(monkeypatch)
     p = IntPoly((1, 10**400)) * P23
-    prof = _check_roots(p, 2048, 2.0**-128)
+    prof = _check_roots(p, 2048)
     assert passes == [(mp.mpc, True)]
     with mp.workprec(2048):
         tiny = mp.mpf(10) ** -400
@@ -211,7 +212,7 @@ def test_roots_coefficient_too_large_for_a_double(monkeypatch):
 def test_roots_far_inside_cauchy_bound():
     # 1 + 10^300 x^30: Cauchy's bound is 2, the roots have modulus 1e-10;
     # seeds on that scale (Fujiwara's bound) reach them within the budget
-    prof = _check_roots(IntPoly((1,) + (0,) * 29 + (10**300,)), 256, 2.0**-128)
+    prof = _check_roots(IntPoly((1,) + (0,) * 29 + (10**300,)), 256)
     with mp.workprec(256):
         for r in prof.roots:
             assert abs(abs(r.value) / mp.mpf("1e-10") - 1) < mp.mpf(2) ** -200
@@ -255,6 +256,29 @@ def test_unity_screen_rejects_cube_roots_of_unity():
     rep = check_nonperiodic(IntPoly((1, 1, 1)))
     assert rep.verdict == INCONCLUSIVE
     assert REASON_UNITY in rep.reasons
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(1, 12) | st.integers(1, 90), min_size=1, max_size=4),
+       st.integers(nonperiodic.MIN_PRECISION, nonperiodic.MIN_PRECISION + 16)
+       | st.integers(nonperiodic.MIN_PRECISION, 320),
+       st.booleans())
+@example([3], nonperiodic.MIN_PRECISION, False)
+def test_cyclotomic_products_are_never_certified(orders, precision, exact):
+    # every root of p is a root of unity, so 1/p is a sum of periodic
+    # sequences times polynomials in n and its signs are eventually
+    # periodic: no accepted setting may certify otherwise.  Small orders
+    # and precisions near the floor are drawn more often, because that is
+    # where a false certificate was found (1 + x + x^2 at 8 and 16 bits)
+    p = IntPoly((1,))
+    for n in orders:
+        if p.degree + len(cyclotomic_by_division(n).coeffs) - 1 <= 24:
+            p = p * cyclotomic_by_division(n)
+    assume(p.degree >= 2)
+    if p.coeffs[0] == -1:  # an odd number of factors x - 1
+        p = IntPoly(tuple(-c for c in p.coeffs))
+    rep = check_nonperiodic(p, CertConfig(precision=precision, exact=exact))
+    assert rep.verdict == INCONCLUSIVE, rep.reasons
 
 
 @pytest.fixture(scope="module")
@@ -302,9 +326,13 @@ def test_real_opposite_pair_reported_real():
 
 
 def test_gap_tolerance_is_honored():
-    rep = check_nonperiodic(P23, CertConfig(gap_tol=1.0))
+    # two non-real pairs whose moduli differ by a relative 2^-41, under the
+    # fixed gap of 2^-20
+    p = IntPoly((1, 1, 2**40)) * IntPoly((1, 1, 2**40 + 1))
+    rep = check_nonperiodic(p)
     assert rep.verdict == INCONCLUSIVE
-    assert REASON_GAP in rep.reasons
+    assert rep.reasons == (REASON_GAP,)
+    assert 0 < rep.dominant.relative_gap < nonperiodic.MIN_GAP
 
 
 def test_multiplicity_recorded_not_fatal():
@@ -320,25 +348,29 @@ def test_multiplicity_recorded_not_fatal():
     {"gap_tol": math.inf},
     {"unity_tol": -1.0},
     {"precision": 0},
+    {"precision": 52},
+    {"precision": math.inf},
     {"max_iterations": -1},
     {"exact_max_degree": -1},
 ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
 def test_config_refuses_bad_settings(setting):
-    # a setting may refuse a certificate but never grant one: a negative
-    # gap or unity tolerance would empty hypothesis (ii) or (iii)
-    with pytest.raises(SpecError):
+    # precisions of 8 and 16 bits granted 1 + x + x^2, whose signs have
+    # period 3, so the floor is 53; the tolerances and budgets are no
+    # longer fields at all, so no value of theirs can reach the certifier
+    expected = SpecError if "precision" in setting else TypeError
+    with pytest.raises(expected):
         CertConfig(**setting)
 
 
 def test_config_accepts_boundary_settings():
-    cfg = CertConfig(precision=1, residual_tol=0.0, gap_tol=0.0, unity_tol=0.0,
-                     exact=True, exact_max_degree=0, max_iterations=1)
-    rep = check_nonperiodic(P23, cfg)
-    assert rep.verdict in (NOT_EVENTUALLY_PERIODIC, INCONCLUSIVE)
+    rep = check_nonperiodic(P23, CertConfig(precision=53, exact=True))
+    assert rep.verdict == NOT_EVENTUALLY_PERIODIC
+    assert rep.exact_test.divisor_order is None
 
 
-def test_nonconvergence_degrades_to_inconclusive():
-    rep = check_nonperiodic(P23, CertConfig(max_iterations=0))
+def test_nonconvergence_degrades_to_inconclusive(monkeypatch):
+    monkeypatch.setattr(nonperiodic, "SWEEP_BUDGET", 0)
+    rep = check_nonperiodic(P23)
     assert rep.verdict == INCONCLUSIVE
     assert rep.reasons == (REASON_CONVERGENCE,)
 
@@ -372,7 +404,9 @@ def test_exact_mode_finds_unity_divisor():
 
 
 def test_exact_mode_degree_cap_skips_tier():
-    rep = check_nonperiodic(P23, CertConfig(exact=True, exact_max_degree=2))
+    # one degree past the cap; test_exact_tier_degree_12 runs the tier at it
+    rep = check_set_nonperiodic(parse_spec("{2,13}"), CertConfig(exact=True))
+    assert rep.poly.degree == nonperiodic.EXACT_DEGREE_CAP + 1
     assert rep.verdict == NOT_EVENTUALLY_PERIODIC
     assert rep.exact_test is None
     assert NOTE_EXACT_SKIPPED in rep.notes

@@ -67,8 +67,7 @@ SAMPLES = {
     EnumerationResult: dict(n=2, horizon=8, count=3, first_violations=(None, 5, None, None),
                             note="x"),
     RepunitProbe: dict(m=4, horizon=100, members=(1, 4, 5), first_violation=None, note="z"),
-    CertConfig: dict(precision=64, residual_tol=0.5, gap_tol=0.25, unity_tol=0.125,
-                     exact=True, exact_max_degree=3, max_iterations=7),
+    CertConfig: dict(precision=64, exact=True),
     Root: dict(value=0.5 + 1j, multiplicity=1, residual=1e-30),
     RootProfile: dict(poly=P, precision=64, roots=()),
     DominantInfo: dict(root=0.5 + 1j, modulus=1.25, multiplicity=1, relative_gap=0.1),
@@ -85,9 +84,7 @@ DEFAULTS = {
     SignWord: dict(set=None, k=0, normalized=True),
     EnumerationResult: dict(note=HORIZON_NOTE),
     RepunitProbe: dict(note=HORIZON_NOTE),
-    CertConfig: dict(precision=256, residual_tol=2.0**-128, gap_tol=2.0**-20,
-                     unity_tol=2.0**-20, exact=False, exact_max_degree=12,
-                     max_iterations=256),
+    CertConfig: dict(precision=256, exact=False),
     NonPeriodicityReport: dict(profile=None, dominant=None, zeta_test=None,
                                exact_test=None, notes=()),
 }
@@ -97,7 +94,7 @@ REFUSED = {
     SetSpec: (dict(kind="bogus"), SpecError),
     RatSeries: (dict(coeffs=()), ValueError),
     SignWord: (dict(symbols=()), ValueError),
-    CertConfig: (dict(gap_tol=-1.0), SpecError),
+    CertConfig: (dict(precision=52), SpecError),
 }
 
 # every record class in the package, so that a new one without a sample fails
