@@ -18,28 +18,16 @@ BACKEND = "python"
 
 
 def conv(a: list, b: list) -> list:
-    """Full schoolbook product of two coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+    """Full product of two coefficient lists: conv_trunc at the top degree."""
+    return conv_trunc(a, b, len(a) + len(b) - 2) if a and b else []
 
 
 def conv_trunc(a: list, b: list, order: int) -> list:
     """Product of two coefficient lists truncated at degree ``order``."""
     out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
+    for i, ai in enumerate(a[:order + 1]):
         if ai:
-            top = min(len(b) - 1, order - i)
-            for j in range(top + 1):
-                bj = b[j]
+            for j, bj in enumerate(b[:order + 1 - i]):
                 if bj:
                     out[i + j] += ai * bj
     return out
@@ -151,47 +139,31 @@ def series_inv_int(coeffs: list, order: int) -> list:
 def first_violation(members: list, horizon: int) -> int:
     """Smallest n <= horizon where (-1)^n * S_0(n) < 0, or -1 if none.
 
-    S_0 is the k = 0 row of sk_rows, computed incrementally with early exit.
-    With s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at even n
-    and s < 0 at odd n.  Below the largest member only the members <= n
-    contribute; from there on every member does, and the last max(A)
-    values slide through a window read by one fixed itemgetter.
+    S_0 is the k = 0 row of sk_rows, computed incrementally with early exit:
+    with s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at even n and
+    s < 0 at odd n.  The last max(A) values slide through a window read by
+    one fixed itemgetter, padded with zeros at the start (S_0 is 0 below 0).
     """
-    # a single member stays in the first loop to the end: an itemgetter of
-    # one index returns the bare item, not a tuple
-    top = members[-1] if len(members) > 1 else horizon + 1
-    g = [1]
-    for n in range(1, min(top, horizon + 1)):
-        s = 0
-        for a in members:
-            if a > n:
-                break
-            s += g[n - a]
-        g.append(-s)
-        if (s > 0) if n % 2 == 0 else (s < 0):
-            return n
-    if top > horizon:
-        return -1
-    window = deque(g, maxlen=top)  # window[top - a] = S_0(n - a)
+    if len(members) < 2:
+        # one index makes itemgetter return a bare item, so decide these in
+        # closed form: S_0 of {a} is (-1)^(n/a) at the multiples of a, which
+        # is first wrong at n = a for even a; like {1}, the empty set never is
+        a = members[0] if members else 1
+        return a if a % 2 == 0 and a <= horizon else -1
+    top = members[-1]
+    window = deque([0] * (top - 1) + [1], maxlen=top)  # window[top - a] = S_0(n - a)
     get = itemgetter(*[top - a for a in members])
     push = window.append
-    n = top
-    if n % 2:
+    # one odd and one even step per turn
+    for n in range(1, horizon, 2):
         s = sum(get(window))
         push(-s)
         if s < 0:
             return n
-        n += 1
-    # n even from here: one even and one odd step per turn
-    for n in range(n, horizon, 2):
         s = sum(get(window))
         push(-s)
         if s > 0:
-            return n
-        s = sum(get(window))
-        push(-s)
-        if s < 0:
             return n + 1
-    if horizon % 2 == 0 and sum(get(window)) > 0:
+    if horizon % 2 and sum(get(window)) < 0:
         return horizon
     return -1

@@ -75,6 +75,7 @@ REASON_DOMINANT_AMBIGUOUS = "dominant-cluster-not-a-single-pair"
 REASON_GAP = "modulus-gap-below-tolerance"
 REASON_UNITY = "zeta-too-close-to-a-root-of-unity"
 REASON_EXACT_DIVISOR = "cyclotomic-factor-divides-ratio-polynomial"
+REASON_DEGREE = "degree-above-root-finder-bound"
 NOTE_EXACT_SKIPPED = "exact-tier-skipped-degree-above-bound"
 
 
@@ -89,6 +90,7 @@ MIN_GAP = 2.0**-20          # relative modulus gap between clusters
 MIN_UNITY_DISTANCE = 2.0**-20  # min |zeta^N - 1| over candidate orders
 EXACT_DEGREE_CAP = 12       # ratio polynomial has degree d^2
 SWEEP_BUDGET = 256          # sweeps per refinement pass
+ROOT_DEGREE_CAP = 152       # every {1,d} up to here took < 4 s, {1,154} 25 s
 
 
 def residual_target(precision: int) -> float:
@@ -359,6 +361,8 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
         raise ValueError("need degree >= 2")
     if p.coeffs[0] != 1:
         raise ValueError("need constant term 1")
+    if p.degree > ROOT_DEGREE_CAP:
+        return NonPeriodicityReport(p, config, INCONCLUSIVE, (REASON_DEGREE,))
     try:
         profile = roots_numeric(p, config.precision)
     except RootConvergenceError:

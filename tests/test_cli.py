@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,20 @@ def test_nonperiodic_reads_a_finite_set_past_its_horizon(capsys):
     code, short = run(capsys, "nonperiodic", "-A", "{1,12}@10")
     assert code == 0, short.err
     assert short.out == out.out
+
+
+@pytest.mark.parametrize("top", [302, 1002])
+def test_nonperiodic_past_the_degree_cap_ends_promptly(capsys, top):
+    # the root finder would run for minutes here; the cap refuses first
+    assert top > nonperiodic.ROOT_DEGREE_CAP
+    started = time.perf_counter()
+    code, out = run(capsys, "nonperiodic", "-A", f"{{1,{top}}}")
+    assert time.perf_counter() - started < 2
+    assert code == 2, out.err
+    blob = json.loads(out.out)
+    assert blob["verdict"] == "Inconclusive"
+    assert blob["reasons"] == [nonperiodic.REASON_DEGREE]
+    assert blob["roots"] is None
 
 
 def test_nonperiodic_exact_flag(capsys):
@@ -420,6 +435,20 @@ def test_config_value_out_of_range_exits_3(tmp_path, capsys, line):
 def test_default_reports_keep_their_bytes(capsys, argv, code, digest):
     got, out = run(capsys, "nonperiodic", *argv)
     assert got == code
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of the two subcommands that run first_violation,
+# recorded before its window was zero-padded into one loop
+@pytest.mark.parametrize("argv, digest", [
+    (("enumerate", "-N", "12", "--horizon", "48"),
+     "9174e97d1ef437aba501e78ef2c9278410347c5779efcf745ac807859d60bee3"),
+    (("experiment", "--problem44", "-m", "4", "--horizon", "300"),
+     "3dede0ceb8b2b79d2da478cba275dcf633bdbf1a8e35b32fee530cefb3617669"),
+], ids=["enumerate", "problem44"])
+def test_scan_reports_keep_their_bytes(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
 

@@ -84,6 +84,18 @@ def test_series_inverse_and_first_violation_match_oracles():
                     == first_violation_reference(members, horizon))
 
 
+def test_first_violation_matches_reference_on_every_small_set():
+    # every subset of {1..10}, the empty set and each single part among
+    # them, at the horizons where the zero-padded window starts and ends
+    n = 10
+    for mask in range(1 << n):
+        members = [a for a in range(1, n + 1) if mask >> (a - 1) & 1]
+        top = max(members, default=0)
+        for horizon in (1, 2, 3, top - 1, 4 * n, 4 * n + 1):
+            assert (kernels.first_violation(members, horizon)
+                    == first_violation_reference(members, horizon)), (members, horizon)
+
+
 @st.composite
 def _members_and_horizon(draw):
     pool = draw(st.sampled_from([range(1, 21), range(2, 21, 2), range(1, 21, 2)]))

@@ -412,6 +412,21 @@ def test_exact_mode_degree_cap_skips_tier():
     assert NOTE_EXACT_SKIPPED in rep.notes
 
 
+def test_root_degree_cap_refuses_before_any_root_is_sought(monkeypatch):
+    # a cap of 3 still certifies {2,3}; one degree past it no root is sought
+    monkeypatch.setattr(nonperiodic, "ROOT_DEGREE_CAP", 3)
+    assert check_set_nonperiodic(parse_spec("{2,3}")).verdict == NOT_EVENTUALLY_PERIODIC
+
+    def unreachable(*args):
+        raise AssertionError("root finding ran past the degree cap")
+
+    monkeypatch.setattr(nonperiodic, "roots_numeric", unreachable)
+    rep = check_set_nonperiodic(parse_spec("{1,4}"), CertConfig(exact=True))
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.reasons == (nonperiodic.REASON_DEGREE,)
+    assert rep.profile is None and rep.exact_test is None
+
+
 def test_ratio_poly_vanishes_on_root_ratios():
     r = ratio_poly(P23)
     assert r(1) == 0
