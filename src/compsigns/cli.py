@@ -3,13 +3,15 @@
 Every capability is exposed through one subcommand with reproducible,
 machine-readable output: identical command and inputs give byte-identical
 primary output.  Exit codes: 0 success/pass, 1 property violated (a
-counterexample is emitted), 2 inconclusive, 3 usage error, 4 internal
-error: a bug, never a verdict, reported on stderr alone.  A broken
-invariant (routes that disagree under ``sk --route all``, a non-integer
-value from an exact division) prints its message; any other unexpected
-exception inside compsigns prints its traceback.  A stdout closed before
-the output is written (``| head``) ends the run quietly with 141, the
-code a shell reports for SIGPIPE.
+counterexample is emitted), 2 inconclusive, 3 input refused (by the
+parser, by a ``SpecError``: a bad set or polynomial spec, a value out of
+range or a query past a set's horizon, or by an ``--out`` path that
+cannot be written), 4 anything else: a bug, never a verdict, reported on
+stderr alone.  A broken invariant (routes that disagree under ``sk
+--route all``, a non-integer value from an exact division) prints its
+message; any other exception, ``ValueError`` included, prints its
+traceback.  A stdout closed before the output is written (``| head``)
+ends the run quietly with 141, the code a shell reports for SIGPIPE.
 
 Output protocol: a handler returns its exit code and a list of
 ``(filename, body)`` outputs, where a body is either the text itself or a
@@ -24,11 +26,9 @@ the primary files).  Outputs are emitted under the same exit-code rules
 as the handler runs: a file that cannot be written exits 3, any other
 failure while emitting exits 4.
 
-``--config FILE`` supplies certifier settings as ``key=value`` lines
-(``#`` comments allowed).  The one key is ``precision``, an integer
-number of bits, at least 53; the residual bound follows from it, and
-every other tolerance and budget is fixed.  A key that was settable
-before exits 3 with a message that it no longer is.
+``nonperiodic --precision BITS`` sets the certifier's working precision,
+at least 53 bits; the residual bound follows from it, and every other
+tolerance and budget is fixed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .sums import ROUTES
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from .nonperiodic import CertConfig
     from .sets import SetSpec
 
 SCHEMA = "compsigns/1"
@@ -75,36 +74,6 @@ def _q_spec(text: str, n: int) -> SetSpec:
     """_spec for the runs of the q-series up to n, which reads the parts
     up to n + min(A); an explicit @H suffix still wins."""
     return _spec(text, n + (_spec(text, n).min_element() or 0))
-
-
-# once settable, now fixed or derived from precision: a config that sets one is refused
-_RETIRED = ("residual_tol", "gap_tol", "unity_tol", "exact_max_degree", "max_iterations")
-
-
-def load_config(path: str | Path, exact: bool = False) -> CertConfig:
-    """CertConfig from ``key=value`` lines; the one key is ``precision``,
-    and ``exact`` comes from the --exact flag."""
-    from pathlib import Path
-
-    from .nonperiodic import CertConfig
-
-    settings = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SpecError(f"bad config line {raw!r} (want key=value)")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in _RETIRED:
-            raise SpecError(f"{key} is no longer settable: it is fixed or follows from precision")
-        if key != "precision":
-            raise SpecError(f"unknown config key {key!r}")
-        try:
-            settings[key] = int(val)
-        except ValueError:
-            raise SpecError(f"{key} must be an integer, got {val!r}") from None
-    return CertConfig(exact=exact, **settings)
 
 
 def build_parser() -> _Parser:
@@ -158,7 +127,9 @@ def build_parser() -> _Parser:
     p.add_argument("-p", metavar="COEFFS",
                    help="comma-separated coefficients, constant term first")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--config", metavar="FILE")
+    # CertConfig's default, kept here so that parsing loads no certifier
+    p.add_argument("--precision", type=int, default=256, metavar="BITS",
+                   help="working precision, at least 53 (default 256)")
     common(p)
 
     p = sub.add_parser("enumerate", help="scan all subsets of {1..N}")
@@ -315,8 +286,7 @@ def _cmd_nonperiodic(args):
 
     if bool(args.A) == bool(args.p):
         raise SpecError("nonperiodic needs exactly one of -A or -p")
-    config = (load_config(args.config, exact=args.exact) if args.config
-              else CertConfig(exact=args.exact))
+    config = CertConfig(precision=args.precision, exact=args.exact)
     if args.A:
         report = check_set_nonperiodic(parse_spec(args.A), config)
     else:
@@ -334,7 +304,7 @@ def _cmd_enumerate(args):
     from .explorer import enumerate_F, enumeration_json, verdicts_csv
 
     if args.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+        raise SpecError(f"jobs must be >= 1, got {args.jobs}")
     res = enumerate_F(args.N, args.horizon)
     return 0, [("enumerate.json", lambda write: enumeration_json(res, write, SCHEMA)),
                ("verdicts.csv", lambda write: verdicts_csv(res, write))]
@@ -455,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # SpecError, HorizonError, bad numbers
+    except SpecError as exc:  # HorizonError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:  # the reader left; the flush at exit goes to devnull

@@ -74,7 +74,7 @@ def verify_cofinite_even_complement(E: SetSpec, upto: int, k_max: int = 3) -> Co
         raise SpecError("need a finite explicit set of even numbers")
     eprime = e_prime(E)  # rejects odd elements
     if upto < 1:
-        raise ValueError("upto must be >= 1")
+        raise SpecError("upto must be >= 1")
     a_spec = SetSpec(COFINITE, E.data, max(upto, E.horizon))
     grid = sk_fast(a_spec, k_max, upto)
     counts = comp_counts(eprime, upto)
@@ -225,11 +225,11 @@ def enumerate_F(n: int, horizon: int) -> EnumerationResult:
     only else goes to the kernel.  The scan runs in one process.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise SpecError("n must be >= 0")
     if n > MASK_BUDGET:
-        raise ValueError(f"n={n} exceeds the 2^{MASK_BUDGET}-subset budget")
+        raise SpecError(f"n={n} exceeds the 2^{MASK_BUDGET}-subset budget")
     if horizon < 4 * n:
-        raise ValueError(f"horizon {horizon} too short; need >= {4 * n}")
+        raise SpecError(f"horizon {horizon} too short; need >= {4 * n}")
     first_violations = _sweep(n, horizon)
     return EnumerationResult(n, horizon, first_violations.count(None), first_violations)
 
@@ -345,7 +345,7 @@ def repunit_extension_experiment(m: int, horizon: int) -> RepunitProbe:
     for every n is open, so this only reports the scan.
     """
     if m % 2 == 1 or m <= 3:
-        raise ValueError("need even m > 3")
+        raise SpecError("need even m > 3")
     rep = SetSpec(REPUNIT, (m,), max(horizon, 1))
     members = sorted(set(rep.members_up_to(horizon)) | {m})
     fv = first_violation(members, horizon)

@@ -358,9 +358,9 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
     import mpmath as mp
 
     if p.degree < 2:
-        raise ValueError("need degree >= 2")
+        raise SpecError("need degree >= 2")
     if p.coeffs[0] != 1:
-        raise ValueError("need constant term 1")
+        raise SpecError("need constant term 1")
     if p.degree > ROOT_DEGREE_CAP:
         return NonPeriodicityReport(p, config, INCONCLUSIVE, (REASON_DEGREE,))
     try:

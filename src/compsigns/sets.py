@@ -30,12 +30,14 @@ COFINITE = "cofinite"
 REPUNIT = "repunit"
 
 
-class HorizonError(ValueError):
-    """A membership query exceeded the horizon the set was built with."""
-
-
 class SpecError(ValueError):
-    """Malformed set description."""
+    """Input refused: a malformed set or polynomial description, or a
+    value outside what a computation accepts.  The CLI exits 3 on it; a
+    broken invariant must raise anything else."""
+
+
+class HorizonError(SpecError):
+    """A membership query exceeded the horizon the set was built with."""
 
 
 def _check_elements(elems: tuple[int, ...], what: str) -> None:
@@ -85,7 +87,7 @@ class SetSpec(Record):
 
     def _check_n(self, n: int) -> None:
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise SpecError("n must be non-negative")
         if n > self.horizon:
             raise HorizonError(
                 f"query n={n} exceeds horizon {self.horizon} of {self.render()}")

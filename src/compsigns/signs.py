@@ -103,11 +103,11 @@ def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
     reported pattern repeats at least twice beyond the preperiod.
     """
     if max_pre < 0 or max_t < 1:
-        raise ValueError("need max_pre >= 0 and max_t >= 1")
+        raise SpecError("need max_pre >= 0 and max_t >= 1")
     symbols = word.symbols
     length = len(symbols)
     if max_pre + 2 * max_t > length:
-        raise ValueError(
+        raise SpecError(
             f"word of length {length} too short for max_pre={max_pre}, "
             f"max_t={max_t} (need max_pre + 2*max_t <= length)")
     best: tuple[int, int] | None = None
@@ -132,7 +132,7 @@ def range_block(m: int) -> tuple[int, ...]:
     """Repeating block of the k=0 normalized word for the part-set {1..m}:
     (1, 1, 0_{m-1}) for odd m, (1, 1, 0_{m-1}, -1, -1, 0_{m-1}) for even m."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise SpecError("m must be >= 1")
     zeros = (0,) * (m - 1)
     if m % 2 == 1:
         return (1, 1) + zeros

@@ -27,7 +27,7 @@ from . import InternalError, Record
 from ._backend import conv_trunc, sk_rows
 from .compositions import comp_polys, q_series_scaled
 from .poly import delta_op
-from .sets import SetSpec
+from .sets import SetSpec, SpecError
 
 
 class IntegralityError(InternalError):
@@ -96,10 +96,14 @@ def sk_via_q(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
 
     is one integer convolution per row.  Every entry must then divide
     exactly by m^(n+1); a remainder raises IntegralityError rather than
-    rounding.
+    rounding.  The empty set has no q-series and no m; its only
+    composition is the empty one of n = 0, so every row past 0 is zero.
     """
     _check_kn(k_max, n_max)
     base = sk_fast(spec, 0, n_max).row(0)
+    if spec.is_empty:
+        zero = (0,) * (n_max + 1)
+        return SkGrid(spec, k_max, n_max, (tuple(base),) + (zero,) * k_max)
     m, Q = q_series_scaled(spec, n_max)
     powers = [m**i for i in range(n_max + 2)]
     rows = [tuple(base)]
@@ -145,9 +149,9 @@ ROUTES = {
 
 def _check_kn(k_max: int, n_max: int) -> None:
     if k_max < 0:
-        raise ValueError("K must be non-negative")
+        raise SpecError("K must be non-negative")
     if n_max < 0:
-        raise ValueError("N must be non-negative")
+        raise SpecError("N must be non-negative")
 
 
 def normalized_violation(grid: SkGrid) -> tuple[int, int] | None:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -14,8 +15,8 @@ import pytest
 from oracles import alt_moment_sum
 
 import compsigns
-from compsigns import InternalError, cli, compositions, explorer, nonperiodic, poly, sums
-from compsigns.cli import load_config, main
+from compsigns import InternalError, cli, compositions, explorer, nonperiodic, poly, signs, sums
+from compsigns.cli import main
 from compsigns.explorer import enumerate_F
 from compsigns.poly import IntPoly
 from compsigns.sets import parse_spec
@@ -51,13 +52,14 @@ def test_sk_single_route(capsys):
 
 
 def test_sk_all_routes_agree(capsys):
-    results = []
-    for route in ("direct", "fast", "q", "conv", "all"):
-        code, out = run(capsys, "sk", "-A", "{1,4}", "-K", "3", "-N", "25",
-                        "--route", route)
-        assert code == 0
-        results.append(out.out)
-    assert len(set(results)) == 1
+    for spec in ("{1,4}", "{}"):
+        results = []
+        for route in ("direct", "fast", "q", "conv", "all"):
+            code, out = run(capsys, "sk", "-A", spec, "-K", "3", "-N", "25",
+                            "--route", route)
+            assert code == 0, out.err
+            results.append(out.out)
+        assert len(set(results)) == 1, spec
 
 
 def test_sk_route_disagreement_exits_4(capsys, monkeypatch):
@@ -330,29 +332,34 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     assert manifest["command"] == "counts" and manifest["wall_time_s"] > 0
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("precision=192\n# note\n\n")
-    assert load_config(cfg) == nonperiodic.CertConfig(precision=192)
-    assert load_config(cfg, exact=True).exact
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+def test_precision_flag(capsys):
+    # the parser's default is CertConfig's, and the residual bound follows
+    # the precision
+    args = cli.build_parser().parse_args(["nonperiodic", "-A", "{2,3}"])
+    assert args.precision == nonperiodic.CertConfig().precision
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--precision", "192", "--exact")
     assert code == 0
     config = json.loads(out.out)["config"]
-    assert config["precision"] == 192
-    assert config["residual_tol"] == 2.0**-96  # derived from the precision
+    assert (config["precision"], config["exact"]) == (192, True)
+    assert config["residual_tol"] == 2.0**-96
 
 
-@pytest.mark.parametrize("text, code", [
-    ("precision=64\n", 0),
-    ("precision=64\nresidual_tol=2^-32\n", 3),
+def _setting_flag(line):
+    """``--key=value`` for a certifier setting written as ``key=value``."""
+    key, _, value = line.partition("=")
+    return f"--{key.replace('_', '-')}={value}"
+
+
+@pytest.mark.parametrize("lines, code", [
+    (["precision=64"], 0),
+    (["precision=64", "residual_tol=2^-32"], 3),
 ], ids=["precision-only", "with-residual-tol"])
-def test_low_precision_needs_a_looser_residual_tol(tmp_path, capsys, text, code):
+def test_low_precision_needs_a_looser_residual_tol(capsys, lines, code):
     # refinement stops near 2^-(precision - 16), out of reach of 2^-128 at
-    # 64 bits: the looser 2^-32 follows from the precision, and a config
-    # that still sets it by hand is refused
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(text)
-    got, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+    # 64 bits: the looser 2^-32 follows from the precision, and a command
+    # line that still sets it by hand is refused
+    flags = [_setting_flag(line) for line in lines]
+    got, out = run(capsys, "nonperiodic", "-A", "{2,3}", *flags)
     assert got == code
     if code == 0:
         report = json.loads(out.out)
@@ -360,7 +367,7 @@ def test_low_precision_needs_a_looser_residual_tol(tmp_path, capsys, text, code)
         assert report["config"]["residual_tol"] == 2.0**-32
     else:
         assert out.out == ""
-        assert "residual_tol is no longer settable" in out.err
+        assert out.err == "usage error: unrecognized arguments: --residual-tol=2^-32\n"
 
 
 @pytest.mark.parametrize("line", [
@@ -370,36 +377,33 @@ def test_low_precision_needs_a_looser_residual_tol(tmp_path, capsys, text, code)
     "exact_max_degree=12",
     "max_iterations=256",
 ])
-def test_config_refuses_retired_keys(tmp_path, capsys, line):
-    # even the value each key used to default to: an old config must not
-    # run under a meaning it was not written for
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("precision=256\n" + line + "\n")
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+def test_config_refuses_retired_keys(capsys, line):
+    # even the value each key used to default to: a setting that was once
+    # settable must not run under a meaning it was not written for
+    flag = _setting_flag(line)
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--precision", "256", flag)
     assert code == 3
     assert out.out == ""
-    assert out.err == f"error: {line.partition('=')[0]} is no longer settable: " \
-        "it is fixed or follows from precision\n"
+    assert out.err == f"usage error: unrecognized arguments: {flag}\n"
 
 
 @pytest.mark.parametrize("line", ["precision=8", "precision=4", "unity_tol=0"])
-def test_configs_that_certified_a_period_exit_3(tmp_path, capsys, line):
+def test_configs_that_certified_a_period_exit_3(capsys, line):
     # each once certified 1/(1 + x + x^2), whose signs have period 3
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(line + "\n")
-    code, out = run(capsys, "nonperiodic", "-p", "1,1,1", "--config", str(cfg))
+    code, out = run(capsys, "nonperiodic", "-p", "1,1,1", _setting_flag(line))
     assert code == 3
     assert out.out == ""
 
 
-def test_config_rejects_bad_lines(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense\n")
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(bad))
+def test_config_flag_is_refused(tmp_path, capsys):
+    # the key=value file is gone: an old command line naming one exits 3,
+    # even when the file holds a valid precision
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("precision=192\n")
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
     assert code == 3
-    bad.write_text("no_such_key=1\n")
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(bad))
-    assert code == 3
+    assert out.out == ""
+    assert out.err == f"usage error: unrecognized arguments: --config {cfg}\n"
 
 
 @pytest.mark.parametrize("line", [
@@ -413,13 +417,11 @@ def test_config_rejects_bad_lines(tmp_path, capsys):
     "precision=2^8",
     "gap_tol=2^x",
 ])
-def test_config_value_out_of_range_exits_3(tmp_path, capsys, line):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(line + "\n")
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--config", str(cfg))
+def test_config_value_out_of_range_exits_3(capsys, line):
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", _setting_flag(line))
     assert code == 3
     assert out.out == ""
-    assert out.err.startswith("error: " + line.partition("=")[0])
+    assert line.partition("=")[0].replace("_", "-") in out.err
 
 
 # sha256 of the default report bytes, recorded before the certifier's
@@ -623,11 +625,94 @@ def test_experiment(capsys):
     assert code == 3
 
 
+# one row per guard that command-line input reaches past the parser, with
+# its stderr: each exits 3 and prints nothing on stdout
+_REFUSED = [
+    ("counts -A {1,2} -N -1", "error: n must be non-negative"),
+    ("sk -A {1,2} -K -1 -N 5", "error: K must be non-negative"),
+    ("sk -A {1,2} -K 1 -N -5", "error: N must be non-negative"),
+    ("enumerate -N 23 --horizon 100", "error: n=23 exceeds the 2^22-subset budget"),
+    ("enumerate -N 5 --horizon 10", "error: horizon 10 too short; need >= 20"),
+    ("enumerate -N -1 --horizon 10", "error: n must be >= 0"),
+    ("enumerate -N 5 --horizon 30 --jobs 0", "error: jobs must be >= 1, got 0"),
+    ("signs -A {1,2} -k 0 -N 30 --detect 100,100",
+     "error: word of length 31 too short for max_pre=100, max_t=100 "
+     "(need max_pre + 2*max_t <= length)"),
+    ("signs -A {1,2} -k 0 -N 30 --detect 1,0", "error: need max_pre >= 0 and max_t >= 1"),
+    ("verify --suite prop33 -m 0", "error: m must be >= 1"),
+    ("verify --suite thm34 -E {2} -N 0", "error: upto must be >= 1"),
+    ("experiment --problem44 -m 5", "error: need even m > 3"),
+    ("nonperiodic -p 1,1", "error: need degree >= 2"),
+    ("nonperiodic -p 2,1,1", "error: need constant term 1"),
+    ("counts -A {1,2}@5 -N 10", "error: query n=10 exceeds horizon 5 of {1,2}@5"),
+    ("nonperiodic -A {2,3} --precision 52", "error: precision must be >= 53 bits, got 52"),
+    ("nonperiodic -A {2,3} --config x", "usage error: unrecognized arguments: --config x"),
+]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 3
     assert run(capsys, "sk", "-A", "{1,2}")[0] == 3
     assert run(capsys, "signs", "-A", "{1,2}", "-k", "0", "-N", "30",
                "--detect", "nope")[0] == 3
+    for line, message in _REFUSED:
+        code, out = run(capsys, *shlex.split(line))
+        assert (code, out.out, out.err) == (3, "", message + "\n"), line
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("injected")
+
+
+# one row per subcommand: a library function its handler's core calls
+@pytest.mark.parametrize("module, name, line", [
+    (compositions, "comp_counts", "counts -A {1,2} -N 5"),
+    (compositions, "comp_poly_rows", "polys -A {1,2} -N 5"),
+    (sums, "sk_rows", "sk -A {1,2} -K 1 -N 5"),
+    (sums, "comp_polys", "sk -A {1,2} -K 1 -N 5 --route direct"),
+    (signs, "detect_period", "signs -A {1,2} -k 0 -N 30 --detect 5,8"),
+    (explorer, "comp_counts", "verify --suite thm34 -E {2,6} -N 40"),
+    (nonperiodic, "roots_numeric", "nonperiodic -A {2,3}"),
+    (explorer, "_sweep", "enumerate -N 5 --horizon 20"),
+    (explorer, "_subset_sums", "construct --thm36 -B {1,3,5}"),
+    (explorer, "first_violation", "experiment --problem44 -m 4 --horizon 40"),
+], ids=["counts", "polys", "sk", "sk-direct", "signs", "verify", "nonperiodic",
+        "enumerate", "construct", "experiment"])
+def test_value_error_inside_a_subcommand_exits_4(capsys, monkeypatch, module, name, line):
+    monkeypatch.setattr(module, name, _raise_value_error)
+    code, out = run(capsys, *shlex.split(line))
+    assert code == 4
+    assert out.out == ""
+    assert "Traceback" in out.err and "ValueError: injected" in out.err
+
+
+def test_zero_gcd_in_yun_exits_4(capsys, monkeypatch):
+    # a zero gcd breaks Yun's decomposition with a ValueError from deep in
+    # poly: a bug, not refused input
+    monkeypatch.setattr(poly, "poly_gcd", lambda a, b: IntPoly(()))
+    code, out = run(capsys, "nonperiodic", "-p", "1,2,1")
+    assert code == 4
+    assert out.out == ""
+    assert "Traceback" in out.err
+    assert "ValueError: zero polynomial has no leading coefficient" in out.err
+
+
+def test_readme_cli_examples(capsys):
+    # every command of the README's CLI block parses and gives what its
+    # comment states: "last line: X" of stdout, or "exit N"; else exit 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    commands = [line for line in block.splitlines() if line.startswith("compsigns ")]
+    assert len(commands) >= 10
+    for line in commands:
+        command, _, comment = line.partition("#")
+        code, out = run(capsys, *shlex.split(command)[1:])
+        want = 0
+        if "exit " in comment:
+            want = int(comment.split("exit ", 1)[1].split()[0])
+        assert code == want, (line, out.err)
+        if "last line: " in comment:
+            assert out.out.splitlines()[-1] == comment.split("last line: ", 1)[1].strip(), line
 
 
 def test_help_exits_zero():

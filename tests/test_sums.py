@@ -15,7 +15,7 @@ from compsigns.sums import (
     sk_via_conv,
     sk_via_q,
 )
-from compsigns.sets import SpecError, explicit, parse_spec
+from compsigns.sets import explicit, parse_spec
 
 
 def test_anchors_123():
@@ -74,12 +74,12 @@ def test_grid_invariants():
     assert grid.row(0) == row0
 
 
-def test_via_q_empty_set_rejected():
-    with pytest.raises(SpecError):
-        sk_via_q(parse_spec("{}"), 2, 5)
-    # but the other routes handle the empty set
-    grid = sk_fast(parse_spec("{}"), 2, 5)
-    assert grid.row(0) == (1, 0, 0, 0, 0, 0)
+def test_via_q_empty_set_gives_row_0_then_zero_rows():
+    # the empty set has no q-series; its only composition is the empty one
+    # of n = 0, so S_0(0) = 1 and every other entry is zero
+    grid = sk_via_q(parse_spec("{}"), 2, 5)
+    assert grid.values == ((1, 0, 0, 0, 0, 0), (0,) * 6, (0,) * 6)
+    assert grid == sk_fast(parse_spec("{}"), 2, 5)
 
 
 def test_integrality_guard_fires_on_corrupt_base(monkeypatch):
