@@ -26,9 +26,9 @@ the primary files).  Outputs are emitted under the same exit-code rules
 as the handler runs: a file that cannot be written exits 3, any other
 failure while emitting exits 4.
 
-``nonperiodic --precision BITS`` sets the certifier's working precision,
-at least 53 bits; the residual bound follows from it, and every other
-tolerance and budget is fixed.
+``nonperiodic`` runs at a fixed working precision of 256 bits, with every
+tolerance and budget fixed; ``--exact`` is its one setting.
+``--precision`` and ``--config`` exit 3 as unrecognised arguments.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ def build_parser() -> _Parser:
     p.add_argument("-p", metavar="COEFFS",
                    help="comma-separated coefficients, constant term first")
     p.add_argument("--exact", action="store_true")
-    # CertConfig's default, kept here so that parsing loads no certifier
-    p.add_argument("--precision", type=int, default=256, metavar="BITS",
-                   help="working precision, at least 53 (default 256)")
     common(p)
 
     p = sub.add_parser("enumerate", help="scan all subsets of {1..N}")
@@ -278,7 +275,6 @@ def _cmd_verify(args):
 def _cmd_nonperiodic(args):
     from .nonperiodic import (
         NOT_EVENTUALLY_PERIODIC,
-        CertConfig,
         check_nonperiodic,
         check_set_nonperiodic,
     )
@@ -286,15 +282,14 @@ def _cmd_nonperiodic(args):
 
     if bool(args.A) == bool(args.p):
         raise SpecError("nonperiodic needs exactly one of -A or -p")
-    config = CertConfig(precision=args.precision, exact=args.exact)
     if args.A:
-        report = check_set_nonperiodic(parse_spec(args.A), config)
+        report = check_set_nonperiodic(parse_spec(args.A), args.exact)
     else:
         try:
             coeffs = tuple(int(c) for c in args.p.split(","))
         except ValueError:
             raise SpecError(f"-p wants comma-separated integers, got {args.p!r}")
-        report = check_nonperiodic(IntPoly(coeffs), config)
+        report = check_nonperiodic(IntPoly(coeffs), args.exact)
     blob = {"schema": SCHEMA, **report.to_json()}
     code = 0 if report.verdict == NOT_EVENTUALLY_PERIODIC else 2
     return code, [("report.json", _json_text(blob))]

@@ -45,7 +45,6 @@ polynomial, and x -> c*x followed by the primitive part gives R.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import TYPE_CHECKING
 
 from . import Record
@@ -83,9 +82,9 @@ class RootConvergenceError(RuntimeError):
     """Root refinement missed the requested residual within budget."""
 
 
-# a run chooses only its precision and whether the exact tier runs
-# (CertConfig); every other setting is one of these or residual_target
-MIN_PRECISION = 53          # at 8 and 16 bits 1 + x + x^2 was certified
+# a run chooses only whether the exact tier runs; every other setting is
+# one of these or residual_target(PRECISION)
+PRECISION = 256             # working precision, bits
 MIN_GAP = 2.0**-20          # relative modulus gap between clusters
 MIN_UNITY_DISTANCE = 2.0**-20  # min |zeta^N - 1| over candidate orders
 EXACT_DEGREE_CAP = 12       # ratio polynomial has degree d^2
@@ -97,18 +96,6 @@ def residual_target(precision: int) -> float:
     """t in |p(root)| <= t * (1+|root|)^deg: half the bits of a precision,
     since refinement stops near 2^-(precision-16), but at most 2^-128."""
     return 2.0 ** -min(128, precision // 2)
-
-
-class CertConfig(Record):
-    precision: int = 256   # working precision, bits
-    exact: bool = False    # run the exact unity tier as well
-
-    def __post_init__(self):
-        if not MIN_PRECISION <= self.precision < math.inf:
-            raise SpecError(f"precision must be >= {MIN_PRECISION} bits, got {self.precision!r}")
-
-
-DEFAULT_CONFIG = CertConfig()
 
 
 class Root(Record):
@@ -149,7 +136,7 @@ class ExactUnityTest(Record):
 
 class NonPeriodicityReport(Record):
     poly: IntPoly
-    config: CertConfig
+    exact: bool           # whether the exact unity tier was asked for
     verdict: str
     reasons: tuple[str, ...]
     profile: RootProfile | None = None
@@ -209,11 +196,11 @@ class NonPeriodicityReport(Record):
             "zeta_test": zeta,
             "exact_test": exact,
             "config": {
-                "precision": self.config.precision,
-                "residual_tol": residual_target(self.config.precision),
+                "precision": PRECISION,
+                "residual_tol": residual_target(PRECISION),
                 "gap_tol": MIN_GAP,
                 "unity_tol": MIN_UNITY_DISTANCE,
-                "exact": self.config.exact,
+                "exact": self.exact,
                 "exact_max_degree": EXACT_DEGREE_CAP,
             },
         }
@@ -319,7 +306,7 @@ def _enforce_conjugates(roots: list[mp.mpc], target: mp.mpf) -> list[mp.mpc]:
     return out
 
 
-def roots_numeric(p: IntPoly, precision: int = DEFAULT_CONFIG.precision) -> RootProfile:
+def roots_numeric(p: IntPoly, precision: int = PRECISION) -> RootProfile:
     """All complex roots of p with exact multiplicities.
 
     Multiplicity structure comes from the exact square-free decomposition,
@@ -353,8 +340,9 @@ def roots_numeric(p: IntPoly, precision: int = DEFAULT_CONFIG.precision) -> Root
 # -- the certificate ----------------------------------------------------------
 
 
-def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPeriodicityReport:
-    """Run the dominant-root certificate on p (p(0) = 1, degree >= 2)."""
+def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
+    """Run the dominant-root certificate on p (p(0) = 1, degree >= 2),
+    with the exact unity tier as well when ``exact``."""
     import mpmath as mp
 
     if p.degree < 2:
@@ -362,16 +350,16 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
     if p.coeffs[0] != 1:
         raise SpecError("need constant term 1")
     if p.degree > ROOT_DEGREE_CAP:
-        return NonPeriodicityReport(p, config, INCONCLUSIVE, (REASON_DEGREE,))
+        return NonPeriodicityReport(p, exact, INCONCLUSIVE, (REASON_DEGREE,))
     try:
-        profile = roots_numeric(p, config.precision)
+        profile = roots_numeric(p)
     except RootConvergenceError:
         return NonPeriodicityReport(
-            p, config, INCONCLUSIVE, (REASON_CONVERGENCE,))
+            p, exact, INCONCLUSIVE, (REASON_CONVERGENCE,))
 
-    with mp.workprec(config.precision):
+    with mp.workprec(PRECISION):
         reasons: list[str] = []
-        tol = mp.mpf(residual_target(config.precision))
+        tol = mp.mpf(residual_target(PRECISION))
 
         # a conjugate pair shares its modulus exactly, so group by modulus:
         # the tight window collects roots at the minimal modulus, the gap
@@ -419,7 +407,7 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
         # an oversized degree merely skips the tier and is noted
         exact_test = None
         notes: list[str] = []
-        if config.exact and pair_ok:
+        if exact and pair_ok:
             if p.degree > EXACT_DEGREE_CAP:
                 notes.append(NOTE_EXACT_SKIPPED)
             else:
@@ -428,7 +416,7 @@ def check_nonperiodic(p: IntPoly, config: CertConfig = DEFAULT_CONFIG) -> NonPer
                     reasons.append(REASON_EXACT_DIVISOR)
 
         verdict = NOT_EVENTUALLY_PERIODIC if not reasons else INCONCLUSIVE
-        return NonPeriodicityReport(p, config, verdict, tuple(reasons),
+        return NonPeriodicityReport(p, exact, verdict, tuple(reasons),
                                     profile, dominant, zeta_test, exact_test,
                                     tuple(notes))
 
@@ -515,7 +503,7 @@ def _exact_unity_screen(p: IntPoly, degree_bound: int) -> ExactUnityTest:
     return ExactUnityTest(ratio.degree, checked, divisor)
 
 
-def check_set_nonperiodic(spec: SetSpec, config: CertConfig = DEFAULT_CONFIG) -> NonPeriodicityReport:
+def check_set_nonperiodic(spec: SetSpec, exact: bool = False) -> NonPeriodicityReport:
     """Certify a finite part-set via p = 1 + f_A.
 
     All-odd sets are rejected: their normalized k = 0 word is settled
@@ -529,4 +517,4 @@ def check_set_nonperiodic(spec: SetSpec, config: CertConfig = DEFAULT_CONFIG) ->
     p = denom_poly(spec)
     if p.degree < 2:
         raise SpecError(f"{spec.render()} gives a degree < 2 denominator")
-    return check_nonperiodic(p, config)
+    return check_nonperiodic(p, exact)

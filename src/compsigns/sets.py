@@ -151,10 +151,15 @@ class SetSpec(Record):
         return x
 
     def all_odd(self) -> bool:
-        """True if every member is odd; infinite kinds are read up to the
-        horizon, finite kinds in full."""
-        return all(a % 2 for a in self.members_capped(
-            None if self.is_finite else self.horizon))
+        """True if every member is odd, decided for the whole set and not
+        only up to the horizon: finite kinds read their members, a
+        cofinite set holds even numbers, and repunit(m) is all odd iff m
+        is even, since r_1 = 1 and r_(i+1) = m * r_i + 1."""
+        if self.kind == COFINITE:
+            return False
+        if self.kind == REPUNIT:
+            return self.data[0] % 2 == 0
+        return all(a % 2 for a in self.members_capped())
 
     # -- rendering --------------------------------------------------------
 

@@ -23,7 +23,6 @@ from compsigns.explorer import (
 from compsigns.nonperiodic import (
     INCONCLUSIVE,
     NOT_EVENTUALLY_PERIODIC,
-    CertConfig,
     check_nonperiodic,
     denom_poly,
     roots_numeric,
@@ -173,9 +172,8 @@ def test_c09_certifier():
 
     assert check_nonperiodic(IntPoly((1, -1, -1))).verdict == INCONCLUSIVE
 
-    exact = CertConfig(exact=True)
     for p, numeric in ((p23, rep23), (p14, rep14)):
-        rep = check_nonperiodic(p, exact)
+        rep = check_nonperiodic(p, exact=True)
         assert rep.verdict == numeric.verdict
         assert rep.exact_test.divisor_order is None
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, exit codes, manifests."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -333,41 +334,18 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
 
 
 def test_precision_flag(capsys):
-    # the parser's default is CertConfig's, and the residual bound follows
-    # the precision
-    args = cli.build_parser().parse_args(["nonperiodic", "-A", "{2,3}"])
-    assert args.precision == nonperiodic.CertConfig().precision
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--precision", "192", "--exact")
-    assert code == 0
-    config = json.loads(out.out)["config"]
-    assert (config["precision"], config["exact"]) == (192, True)
-    assert config["residual_tol"] == 2.0**-96
+    # the working precision is fixed: the flag that once set it is refused
+    # like any unknown argument
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--precision", "64")
+    assert code == 3
+    assert out.out == ""
+    assert out.err == "usage error: unrecognized arguments: --precision 64\n"
 
 
 def _setting_flag(line):
     """``--key=value`` for a certifier setting written as ``key=value``."""
     key, _, value = line.partition("=")
     return f"--{key.replace('_', '-')}={value}"
-
-
-@pytest.mark.parametrize("lines, code", [
-    (["precision=64"], 0),
-    (["precision=64", "residual_tol=2^-32"], 3),
-], ids=["precision-only", "with-residual-tol"])
-def test_low_precision_needs_a_looser_residual_tol(capsys, lines, code):
-    # refinement stops near 2^-(precision - 16), out of reach of 2^-128 at
-    # 64 bits: the looser 2^-32 follows from the precision, and a command
-    # line that still sets it by hand is refused
-    flags = [_setting_flag(line) for line in lines]
-    got, out = run(capsys, "nonperiodic", "-A", "{2,3}", *flags)
-    assert got == code
-    if code == 0:
-        report = json.loads(out.out)
-        assert (report["verdict"], report["reasons"]) == ("NotEventuallyPeriodic", [])
-        assert report["config"]["residual_tol"] == 2.0**-32
-    else:
-        assert out.out == ""
-        assert out.err == "usage error: unrecognized arguments: --residual-tol=2^-32\n"
 
 
 @pytest.mark.parametrize("line", [
@@ -381,7 +359,7 @@ def test_config_refuses_retired_keys(capsys, line):
     # even the value each key used to default to: a setting that was once
     # settable must not run under a meaning it was not written for
     flag = _setting_flag(line)
-    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", "--precision", "256", flag)
+    code, out = run(capsys, "nonperiodic", "-A", "{2,3}", flag)
     assert code == 3
     assert out.out == ""
     assert out.err == f"usage error: unrecognized arguments: {flag}\n"
@@ -645,7 +623,9 @@ _REFUSED = [
     ("nonperiodic -p 1,1", "error: need degree >= 2"),
     ("nonperiodic -p 2,1,1", "error: need constant term 1"),
     ("counts -A {1,2}@5 -N 10", "error: query n=10 exceeds horizon 5 of {1,2}@5"),
-    ("nonperiodic -A {2,3} --precision 52", "error: precision must be >= 53 bits, got 52"),
+    ("nonperiodic -A {2,3} --precision 52",
+     "usage error: unrecognized arguments: --precision 52"),
+    ("nonperiodic -A 'N+\\{2,4}@4'", "error: denominator polynomial needs a finite part set"),
     ("nonperiodic -A {2,3} --config x", "usage error: unrecognized arguments: --config x"),
 ]
 
@@ -658,6 +638,66 @@ def test_usage_errors(capsys):
     for line, message in _REFUSED:
         code, out = run(capsys, *shlex.split(line))
         assert (code, out.out, out.err) == (3, "", message + "\n"), line
+
+
+def _failed_identities(spec, upto):
+    results = dict.fromkeys(compositions.IDENTITY_NAMES)
+    results["delta_q"] = compositions.IdentityFailure("delta_q", 3, 1)
+    return compositions.IdentityReport(spec, upto, "eval", results)
+
+
+# one row per line that reports a failed check: a library check patched to
+# fail, and the line its handler must print
+@pytest.mark.parametrize("module, name, fake, line, want", [
+    (compositions, "verify_identities", _failed_identities,
+     "verify --suite section2 -A {1,2,5} -N 60", "delta_q: FAIL at n=3, coefficient 1"),
+    (signs, "check_range_set_pattern",
+     lambda m, upto: signs.PatternCheck(m, upto, False, 5, signs.SignWord((1,)), (1,)),
+     "verify --suite prop33 -m 4 -N 200", "range set 1..4 n <= 200: FAIL first mismatch n=5"),
+    (explorer, "verify_cofinite_even_complement",
+     lambda E, upto: explorer.CofiniteCheck(E, upto, 3, 4, None),
+     "verify --suite thm34 -E {2,6} -N 200", "identity: FAIL at n=4"),
+    (explorer, "verify_cofinite_even_complement",
+     lambda E, upto: explorer.CofiniteCheck(E, upto, 3, None, (1, 7)),
+     "verify --suite thm34 -E {2,6} -N 200", "non-negativity: FAIL at (k=1, n=7)"),
+    (explorer, "verify_distinct_subset_sums",
+     lambda B, upto: explorer.SubsetSumCheck(B, B, upto, 9),
+     "verify --suite thm36 -B {1,3,5} -N 300", "partition identity n <= 300: FAIL at n=9"),
+    (explorer, "union_relation_check", lambda A, B, upto: False,
+     "verify --suite union -A {1,3} -B {2,4} -N 50", "union relation n <= 50: FAIL"),
+    (explorer, "repunit_extension_experiment",
+     lambda m, horizon: explorer.RepunitProbe(m, horizon, (1, 4, 5), 7),
+     "experiment --problem44 -m 4 --horizon 40", '  "passed": false,'),
+], ids=["section2", "prop33", "thm34-identity", "thm34-non-negativity", "thm36",
+        "union", "experiment"])
+def test_failed_check_exits_1(capsys, monkeypatch, module, name, fake, line, want):
+    monkeypatch.setattr(module, name, fake)
+    code, out = run(capsys, *shlex.split(line))
+    assert (code, out.err) == (1, "")
+    assert want in out.out.splitlines()
+
+
+# every subcommand's options but -h: adding or removing one edits this table
+_OPTIONS = {
+    "counts": "-A -N --out",
+    "polys": "-A -N --out",
+    "sk": "-A -K -N --route --out",
+    "signs": "-A -k -N --normalized --detect --out",
+    "verify": "--suite -A -B -E -m -N --out",
+    "nonperiodic": "-A -p --exact --out",
+    "enumerate": "-N --horizon --jobs --out",
+    "construct": "--thm36 -B --out",
+    "experiment": "--problem44 -m --horizon --out",
+}
+
+
+def test_subcommand_options_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: " ".join(opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                          for opt in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == _OPTIONS
 
 
 def _raise_value_error(*args, **kwargs):

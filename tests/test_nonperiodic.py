@@ -28,7 +28,6 @@ from compsigns.nonperiodic import (
     REASON_EXACT_DIVISOR,
     REASON_GAP,
     REASON_UNITY,
-    CertConfig,
     RootConvergenceError,
     check_nonperiodic,
     check_set_nonperiodic,
@@ -260,16 +259,14 @@ def test_unity_screen_rejects_cube_roots_of_unity():
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.integers(1, 12) | st.integers(1, 90), min_size=1, max_size=4),
-       st.integers(nonperiodic.MIN_PRECISION, nonperiodic.MIN_PRECISION + 16)
-       | st.integers(nonperiodic.MIN_PRECISION, 320),
        st.booleans())
-@example([3], nonperiodic.MIN_PRECISION, False)
-def test_cyclotomic_products_are_never_certified(orders, precision, exact):
+@example([3], False)
+def test_cyclotomic_products_are_never_certified(orders, exact):
     # every root of p is a root of unity, so 1/p is a sum of periodic
     # sequences times polynomials in n and its signs are eventually
-    # periodic: no accepted setting may certify otherwise.  Small orders
-    # and precisions near the floor are drawn more often, because that is
-    # where a false certificate was found (1 + x + x^2 at 8 and 16 bits)
+    # periodic: neither configuration may certify otherwise.  Small orders
+    # are drawn more often, because that is where a false certificate was
+    # found (1 + x + x^2 at precisions of 8 and 16 bits)
     p = IntPoly((1,))
     for n in orders:
         if p.degree + len(cyclotomic_by_division(n).coeffs) - 1 <= 24:
@@ -277,7 +274,7 @@ def test_cyclotomic_products_are_never_certified(orders, precision, exact):
     assume(p.degree >= 2)
     if p.coeffs[0] == -1:  # an odd number of factors x - 1
         p = IntPoly(tuple(-c for c in p.coeffs))
-    rep = check_nonperiodic(p, CertConfig(precision=precision, exact=exact))
+    rep = check_nonperiodic(p, exact)
     assert rep.verdict == INCONCLUSIVE, rep.reasons
 
 
@@ -349,23 +346,19 @@ def test_multiplicity_recorded_not_fatal():
     {"unity_tol": -1.0},
     {"precision": 0},
     {"precision": 52},
+    {"precision": 64},
     {"precision": math.inf},
     {"max_iterations": -1},
     {"exact_max_degree": -1},
 ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
 def test_config_refuses_bad_settings(setting):
     # precisions of 8 and 16 bits granted 1 + x + x^2, whose signs have
-    # period 3, so the floor is 53; the tolerances and budgets are no
-    # longer fields at all, so no value of theirs can reach the certifier
-    expected = SpecError if "precision" in setting else TypeError
-    with pytest.raises(expected):
-        CertConfig(**setting)
-
-
-def test_config_accepts_boundary_settings():
-    rep = check_nonperiodic(P23, CertConfig(precision=53, exact=True))
-    assert rep.verdict == NOT_EVENTUALLY_PERIODIC
-    assert rep.exact_test.divisor_order is None
+    # period 3; the precision is now as fixed as every tolerance and
+    # budget, so no value of any of them can reach the certifier
+    with pytest.raises(TypeError):
+        check_nonperiodic(P23, **setting)
+    with pytest.raises(TypeError):
+        check_set_nonperiodic(parse_spec("{2,3}"), **setting)
 
 
 def test_nonconvergence_degrades_to_inconclusive(monkeypatch):
@@ -383,29 +376,28 @@ def test_precondition_errors():
 
 
 def test_exact_mode_agrees_on_certified_cases():
-    cfg = CertConfig(exact=True)
     for p in (P23, P14):
-        rep = check_nonperiodic(p, cfg)
+        rep = check_nonperiodic(p, exact=True)
         assert rep.verdict == NOT_EVENTUALLY_PERIODIC
         assert rep.exact_test is not None
         assert rep.exact_test.divisor_order is None
 
 
 def test_exact_mode_ratio_degree():
-    rep = check_nonperiodic(P23, CertConfig(exact=True))
+    rep = check_nonperiodic(P23, exact=True)
     assert rep.exact_test.ratio_degree == 9
 
 
 def test_exact_mode_finds_unity_divisor():
     # ratio i / -i = -1 puts the order-2 cyclotomic inside R
-    rep = check_nonperiodic(IntPoly((1, 0, 1)), CertConfig(exact=True))
+    rep = check_nonperiodic(IntPoly((1, 0, 1)), exact=True)
     assert REASON_EXACT_DIVISOR in rep.reasons
     assert rep.exact_test.divisor_order == 2
 
 
 def test_exact_mode_degree_cap_skips_tier():
     # one degree past the cap; test_exact_tier_degree_12 runs the tier at it
-    rep = check_set_nonperiodic(parse_spec("{2,13}"), CertConfig(exact=True))
+    rep = check_set_nonperiodic(parse_spec("{2,13}"), exact=True)
     assert rep.poly.degree == nonperiodic.EXACT_DEGREE_CAP + 1
     assert rep.verdict == NOT_EVENTUALLY_PERIODIC
     assert rep.exact_test is None
@@ -421,7 +413,7 @@ def test_root_degree_cap_refuses_before_any_root_is_sought(monkeypatch):
         raise AssertionError("root finding ran past the degree cap")
 
     monkeypatch.setattr(nonperiodic, "roots_numeric", unreachable)
-    rep = check_set_nonperiodic(parse_spec("{1,4}"), CertConfig(exact=True))
+    rep = check_set_nonperiodic(parse_spec("{1,4}"), exact=True)
     assert rep.verdict == INCONCLUSIVE
     assert rep.reasons == (nonperiodic.REASON_DEGREE,)
     assert rep.profile is None and rep.exact_test is None
@@ -482,7 +474,7 @@ def test_ratio_poly_preconditions():
 
 
 def test_exact_tier_degree_12():
-    rep = check_set_nonperiodic(parse_spec("{1,2,4,12}"), CertConfig(exact=True))
+    rep = check_set_nonperiodic(parse_spec("{1,2,4,12}"), exact=True)
     assert rep.verdict == NOT_EVENTUALLY_PERIODIC
     assert rep.exact_test.ratio_degree == 144
     assert rep.exact_test.divisor_order is None
@@ -555,11 +547,12 @@ def test_all_odd_guard():
 
 
 def test_report_json_round_trip():
-    rep = check_nonperiodic(P23, CertConfig(exact=True))
+    rep = check_nonperiodic(P23, exact=True)
     blob = json.loads(json.dumps(rep.to_json()))
     assert blob["verdict"] == NOT_EVENTUALLY_PERIODIC
     assert blob["poly"] == ["1", "0", "1", "1"]
     assert blob["config"]["precision"] == 256
+    assert blob["config"]["residual_tol"] == 2.0**-128
     assert len(blob["roots"]) == 3
     assert all(isinstance(r["re"], str) for r in blob["roots"])
     assert blob["exact_test"]["divisor_order"] is None

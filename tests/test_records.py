@@ -20,7 +20,6 @@ from compsigns.explorer import (
     SubsetSumCheck,
 )
 from compsigns.nonperiodic import (
-    CertConfig,
     DominantInfo,
     ExactUnityTest,
     NonPeriodicityReport,
@@ -43,7 +42,6 @@ S = SetSpec("explicit", (1, 2), 50)
 P = IntPoly((1, 1, 1))
 W = SignWord((1, 0, -1), S, 0, True)
 F = PeriodFinding(0, 3, (1, 0, -1), "ConsistentAtHorizon")
-C = CertConfig()
 
 # every field of every record class, in declaration order, with values
 # that its __post_init__ (if any) keeps as they are
@@ -67,13 +65,12 @@ SAMPLES = {
     EnumerationResult: dict(n=2, horizon=8, count=3, first_violations=(None, 5, None, None),
                             note="x"),
     RepunitProbe: dict(m=4, horizon=100, members=(1, 4, 5), first_violation=None, note="z"),
-    CertConfig: dict(precision=64, exact=True),
     Root: dict(value=0.5 + 1j, multiplicity=1, residual=1e-30),
     RootProfile: dict(poly=P, precision=64, roots=()),
     DominantInfo: dict(root=0.5 + 1j, modulus=1.25, multiplicity=1, relative_gap=0.1),
     ZetaTest: dict(degree_bound=4, orders_checked=9, min_distance=0.3, min_at_order=6),
     ExactUnityTest: dict(ratio_degree=4, orders_checked=9, divisor_order=None),
-    NonPeriodicityReport: dict(poly=P, config=C, verdict="Inconclusive", reasons=("r",),
+    NonPeriodicityReport: dict(poly=P, exact=True, verdict="Inconclusive", reasons=("r",),
                                profile=None, dominant=None, zeta_test=None,
                                exact_test=None, notes=("n",)),
 }
@@ -84,7 +81,6 @@ DEFAULTS = {
     SignWord: dict(set=None, k=0, normalized=True),
     EnumerationResult: dict(note=HORIZON_NOTE),
     RepunitProbe: dict(note=HORIZON_NOTE),
-    CertConfig: dict(precision=256, exact=False),
     NonPeriodicityReport: dict(profile=None, dominant=None, zeta_test=None,
                                exact_test=None, notes=()),
 }
@@ -94,7 +90,6 @@ REFUSED = {
     SetSpec: (dict(kind="bogus"), SpecError),
     RatSeries: (dict(coeffs=()), ValueError),
     SignWord: (dict(symbols=()), ValueError),
-    CertConfig: (dict(precision=52), SpecError),
 }
 
 # every record class in the package, so that a new one without a sample fails

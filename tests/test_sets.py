@@ -120,6 +120,10 @@ def test_parity_split_and_all_odd():
     assert not parse_spec("{1,12}@10").all_odd()  # a finite set is read in full
     assert parse_spec("repunit(2)@200").all_odd()
     assert not parse_spec("repunit(3)@200").all_odd()
+    # infinite sets are decided in full, not up to their horizon
+    assert not parse_spec("repunit(3)@3").all_odd()  # 4 is a member
+    assert parse_spec("repunit(4)@3").all_odd()
+    assert not parse_spec("N+\\{2,4}@4").all_odd()  # 6, 8, ... are members
 
 
 def test_render_round_trip():

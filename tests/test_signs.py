@@ -152,6 +152,8 @@ def test_check_odd_set():
         check_odd_set(parse_spec("{1,2}"), 50)
     with pytest.raises(SpecError):  # the even member lies past the horizon
         check_odd_set(parse_spec("{1,12}@10"), 8)
+    with pytest.raises(SpecError):  # 8, 10, ... lie past the horizon
+        check_odd_set(parse_spec("N+\\{2,4,6}@7"), 7)
 
 
 def test_check_even_range_conjecture():
