@@ -12,6 +12,10 @@ stderr alone.  A broken invariant (routes that disagree under ``sk
 message; any other exception, ``ValueError`` included, prints its
 traceback.  A stdout closed before the output is written (``| head``)
 ends the run quietly with 141, the code a shell reports for SIGPIPE.
+A process started as ``compsigns`` or ``python -m compsigns.cli`` ends
+through ``run``: stdout and stderr are flushed, then the process leaves
+with ``os._exit`` and skips interpreter teardown, so ``atexit`` handlers
+never run.  ``main`` itself returns its exit code, for in-process callers.
 
 Output protocol: a handler returns its exit code and a list of
 ``(filename, body)`` outputs, where a body is either the text itself or a
@@ -437,5 +441,23 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry point: main(), then exit without interpreter teardown.
+
+    This is safe because main closes every file it writes before it
+    returns, and no module registers work for exit (atexit, weakref
+    finalizers, tempfile).  A flush that fails leaves through sys.exit."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse ends --version and --help
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or file
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

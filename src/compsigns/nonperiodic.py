@@ -13,6 +13,22 @@ the roots of p as reciprocals 1/omega_i, it suffices that
 For part-sets this applies to p = 1 + f_A(x), whose reciprocal
 coefficients are exactly the k = 0 alternating sums.
 
+The same certificate speaks for every row k >= 0.  Row k counts a
+composition with j parts by (-1)^j j^k, so with f = f_A, the identity
+sum_j j^k y^j = sum_i S(k,i) i! y^i / (1 - y)^(i+1) (S(k,i) the Stirling
+numbers of the second kind) at y = -f, where 1 - y = p, gives
+
+  sum_n S_k(n) x^n = N_k / p^(k+1),
+  N_k = sum_{i<=k} S(k,i) i! (-f)^i p^(k-i).
+
+Every term but i = k is a multiple of p, S(k,k) = 1 and
+-f = 1 - p = 1 (mod p), so N_k = k! (mod p): N_k vanishes at no root of
+p.  A root of multiplicity mu is then a pole of row k of order mu(k+1)
+with a non-zero leading coefficient, and under (i)-(iii)
+S_k(n) = 2 Re(C n^(mu(k+1)-1) omega_0^n) (1 + o(1)) with C != 0; as zeta
+is not a root of unity, the signs of row k are not eventually periodic
+either.
+
 Verdicts are one-sided: NotEventuallyPeriodic when every hypothesis is
 certified within the fixed tolerances, otherwise Inconclusive (numeric
 trouble degrades to Inconclusive, never to a false certificate).

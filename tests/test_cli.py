@@ -1,6 +1,7 @@
 """Tests for the command-line front end: outputs, exit codes, manifests."""
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -648,28 +649,38 @@ def _failed_identities(spec, upto):
 
 # one row per line that reports a failed check: a library check patched to
 # fail, and the line its handler must print
-@pytest.mark.parametrize("module, name, fake, line, want", [
-    (compositions, "verify_identities", _failed_identities,
-     "verify --suite section2 -A {1,2,5} -N 60", "delta_q: FAIL at n=3, coefficient 1"),
-    (signs, "check_range_set_pattern",
-     lambda m, upto: signs.PatternCheck(m, upto, False, 5, signs.SignWord((1,)), (1,)),
-     "verify --suite prop33 -m 4 -N 200", "range set 1..4 n <= 200: FAIL first mismatch n=5"),
-    (explorer, "verify_cofinite_even_complement",
-     lambda E, upto: explorer.CofiniteCheck(E, upto, 3, 4, None),
-     "verify --suite thm34 -E {2,6} -N 200", "identity: FAIL at n=4"),
-    (explorer, "verify_cofinite_even_complement",
-     lambda E, upto: explorer.CofiniteCheck(E, upto, 3, None, (1, 7)),
-     "verify --suite thm34 -E {2,6} -N 200", "non-negativity: FAIL at (k=1, n=7)"),
-    (explorer, "verify_distinct_subset_sums",
-     lambda B, upto: explorer.SubsetSumCheck(B, B, upto, 9),
-     "verify --suite thm36 -B {1,3,5} -N 300", "partition identity n <= 300: FAIL at n=9"),
-    (explorer, "union_relation_check", lambda A, B, upto: False,
-     "verify --suite union -A {1,3} -B {2,4} -N 50", "union relation n <= 50: FAIL"),
-    (explorer, "repunit_extension_experiment",
-     lambda m, horizon: explorer.RepunitProbe(m, horizon, (1, 4, 5), 7),
-     "experiment --problem44 -m 4 --horizon 40", '  "passed": false,'),
-], ids=["section2", "prop33", "thm34-identity", "thm34-non-negativity", "thm36",
-        "union", "experiment"])
+_FAILED_CHECKS = {
+    "section2": (
+        compositions, "verify_identities", _failed_identities,
+        "verify --suite section2 -A {1,2,5} -N 60", "delta_q: FAIL at n=3, coefficient 1"),
+    "prop33": (
+        signs, "check_range_set_pattern",
+        lambda m, upto: signs.PatternCheck(m, upto, False, 5, signs.SignWord((1,)), (1,)),
+        "verify --suite prop33 -m 4 -N 200", "range set 1..4 n <= 200: FAIL first mismatch n=5"),
+    "thm34-identity": (
+        explorer, "verify_cofinite_even_complement",
+        lambda E, upto: explorer.CofiniteCheck(E, upto, 3, 4, None),
+        "verify --suite thm34 -E {2,6} -N 200", "identity: FAIL at n=4"),
+    "thm34-non-negativity": (
+        explorer, "verify_cofinite_even_complement",
+        lambda E, upto: explorer.CofiniteCheck(E, upto, 3, None, (1, 7)),
+        "verify --suite thm34 -E {2,6} -N 200", "non-negativity: FAIL at (k=1, n=7)"),
+    "thm36": (
+        explorer, "verify_distinct_subset_sums",
+        lambda B, upto: explorer.SubsetSumCheck(B, B, upto, 9),
+        "verify --suite thm36 -B {1,3,5} -N 300", "partition identity n <= 300: FAIL at n=9"),
+    "union": (
+        explorer, "union_relation_check", lambda A, B, upto: False,
+        "verify --suite union -A {1,3} -B {2,4} -N 50", "union relation n <= 50: FAIL"),
+    "experiment": (
+        explorer, "repunit_extension_experiment",
+        lambda m, horizon: explorer.RepunitProbe(m, horizon, (1, 4, 5), 7),
+        "experiment --problem44 -m 4 --horizon 40", '  "passed": false,'),
+}
+
+
+@pytest.mark.parametrize("module, name, fake, line, want", list(_FAILED_CHECKS.values()),
+                         ids=list(_FAILED_CHECKS))
 def test_failed_check_exits_1(capsys, monkeypatch, module, name, fake, line, want):
     monkeypatch.setattr(module, name, fake)
     code, out = run(capsys, *shlex.split(line))
@@ -735,6 +746,112 @@ def test_zero_gcd_in_yun_exits_4(capsys, monkeypatch):
     assert out.out == ""
     assert "Traceback" in out.err
     assert "ValueError: zero polynomial has no leading coefficient" in out.err
+
+
+def _cli_process(*args, path=""):
+    """Run `python ARGS` as its own process, compsigns' sources (and `path`)
+    importable, at the help width argparse takes for 80 columns, and with
+    stdout block-buffered, so that output nobody flushes is lost."""
+    src = str(Path(compsigns.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path])),
+           "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+# a process ends through run(): one row per way out of main, each of which
+# must leave with the exit code, stdout bytes and stderr that main gives
+@pytest.mark.parametrize("line, code", [
+    ('counts -A "{1,2,3}" -N 4', 0),
+    ('nonperiodic -A "{2,3}" --exact', 0),
+    ("nonperiodic -p 1,-1,-1", 2),
+    ("enumerate -N 6 --horizon 24", 0),
+    ('signs -A "{2,3}" -k -1 -N 10', 3),
+    ('counts -A "{1,2}" -N 4 --bogus', 3),
+    ("--version", 0),
+    ("--help", 0),
+], ids=["counts", "nonperiodic-exact", "inconclusive", "enumerate", "spec-error",
+        "unknown-flag", "version", "help"])
+def test_process_exit_matches_main(capsys, monkeypatch, line, code):
+    argv = shlex.split(line)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse ends --version and --help
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    if line == "--version":
+        assert out.out == "0.1.0\n"
+    proc = _cli_process("-m", "compsigns.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.out.encode(),
+                                                                    out.err)
+
+
+_PATCHED_RUNS = {row: (module, name, fake, line)
+                 for row, (module, name, fake, line, _) in _FAILED_CHECKS.items()}
+_PATCHED_RUNS["zero-gcd"] = (poly, "poly_gcd", lambda a, b: IntPoly(()), "nonperiodic -p 1,2,1")
+
+_RUN_PATCHED = """
+import shlex, sys
+import test_cli
+from compsigns import cli
+module, name, fake, line = test_cli._PATCHED_RUNS[sys.argv[1]]
+setattr(module, name, fake)
+sys.argv[1:] = shlex.split(line)
+cli.run()
+"""
+
+
+# exit 1 (the failed checks above) and exit 4 (a zero gcd in Yun's
+# decomposition) through run(), in a process whose library is patched
+@pytest.mark.parametrize("row", list(_PATCHED_RUNS))
+def test_patched_process_exit_matches_main(capsys, monkeypatch, row):
+    module, name, fake, line = _PATCHED_RUNS[row]
+    monkeypatch.setattr(module, name, fake)
+    code, out = run(capsys, *shlex.split(line))
+    assert code == (4 if row == "zero-gcd" else 1)
+    proc = _cli_process("-c", _RUN_PATCHED, row, path=str(Path(__file__).resolve().parent))
+    assert (proc.returncode, proc.stdout) == (code, out.out.encode())
+    err = proc.stderr.decode()
+    if code == 1:
+        assert err == out.err == ""
+    else:  # the frames' file paths may differ, the exception may not
+        assert "Traceback" in err
+        assert err.splitlines()[-1] == out.err.splitlines()[-1] == (
+            "ValueError: zero polynomial has no leading coefficient")
+
+
+def test_process_out_files_are_complete_at_exit(tmp_path):
+    # os._exit flushes only stdout and stderr: every file --out writes must
+    # be whole once the process is gone
+    out_dir = tmp_path / "run"
+    proc = _cli_process("-m", "compsigns.cli", "counts", "-A", "{1,2,3}", "-N", "300",
+                        "--out", str(out_dir))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    csv = (out_dir / "counts.csv").read_bytes()
+    assert csv == proc.stdout
+    assert csv.splitlines()[-1].startswith(b"300,")
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["outputs"] == [{"path": "counts.csv", "bytes": len(csv),
+                                    "sha256": hashlib.sha256(csv).hexdigest()}]
+    assert manifest["argv"][-2:] == ["--out", str(out_dir)]
+
+
+def test_no_module_leaves_work_for_interpreter_exit():
+    # run() ends the process with os._exit, which skips atexit handlers,
+    # weakref finalizers and tempfile's cleanup: no module may rely on them
+    package = Path(compsigns.__file__).resolve().parent
+    skipped = {"atexit", "weakref", "tempfile"}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {n.partition(".")[0] for n in names} & skipped, (path.name, node.lineno)
 
 
 def test_readme_cli_examples(capsys):

@@ -12,6 +12,7 @@ from oracles import (
     partition_count,
 )
 
+from compsigns._backend import first_violation, series_inv_int
 from compsigns.explorer import (
     HORIZON_NOTE,
     CofiniteCheck,
@@ -25,6 +26,7 @@ from compsigns.explorer import (
     verify_cofinite_even_complement,
     verify_distinct_subset_sums,
 )
+from compsigns.poly import IntPoly
 from compsigns.sets import SpecError, explicit, parse_spec
 
 
@@ -214,6 +216,23 @@ def test_repunit_probe():
     assert r.members[:3] == (1, 4, 5)
     assert r.passed and r.first_violation is None
     assert repunit_extension_experiment(6, 2000).passed
+
+
+def test_repunit_probe_core_passes_for_all_n():
+    # the argument for the probe at every n: for even m the core
+    # C = {1, m, m+1} has q_C = (1 - x)(1 + x^m), whose reciprocal is 1
+    # where floor(n/m) is even and 0 elsewhere; every other repunit is odd
+    horizon = 3000
+    for m in range(2, 51, 2):
+        q = [1] + [0] * (m + 1)  # p_C(-x), the core's sums in the (-1)^n frame
+        for a in (1, m, m + 1):
+            q[a] += (-1) ** a
+        assert IntPoly(tuple(q)) == IntPoly((1, -1)) * IntPoly((1,) + (0,) * (m - 1) + (1,))
+        assert series_inv_int(q, horizon) == [int(n // m % 2 == 0) for n in range(horizon + 1)]
+        assert first_violation([1, m, m + 1], horizon) == -1
+        repunits = parse_spec(f"repunit({m})@{horizon}").members_up_to(horizon)
+        assert repunits[:2] == [1, m + 1]
+        assert all(r % 2 for r in repunits[2:]), m
 
 
 def test_repunit_probe_guards():

@@ -529,6 +529,37 @@ def test_reciprocal_prefix_matches_sum_row():
     assert series_inv_int(list(denom_poly(spec).coeffs), 40) == list(row)
 
 
+def _rem_monic(a: IntPoly, m: IntPoly) -> tuple:
+    """Coefficients of a mod m, for a monic m."""
+    d = m.degree
+    rem = list(a.coeffs) + [0] * d
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        if c:
+            for i, mc in enumerate(m.coeffs):
+                rem[top - d + i] -= c * mc
+    return tuple(rem[:d])
+
+
+def test_every_row_is_a_numerator_over_a_power_of_p():
+    # the module docstring's step from k = 0 to every k: row k of S is
+    # N_k / p^(k+1) with N_k a polynomial, N_k = k! (mod p)
+    rng = random.Random(2616)
+    horizon = 400
+    for _ in range(60):
+        spec = explicit(rng.sample(range(1, 13), rng.randint(1, 12)))
+        p = denom_poly(spec)
+        grid = sk_fast(spec, 4, horizon)
+        power = IntPoly((1,))
+        for k in range(5):
+            power = power * p  # p^(k+1)
+            numerator = (power * IntPoly(grid.row(k))).coeffs[:horizon + 1]
+            top = (k + 1) * p.degree
+            assert not any(numerator[top:]), (spec, k)
+            residue = _rem_monic(IntPoly(numerator[:top]), p)
+            assert residue == (math.factorial(k),) + (0,) * (p.degree - 1), (spec, k)
+
+
 def test_bridge_no_short_period_when_certified():
     for p in (P23, P14):
         assert check_nonperiodic(p).verdict == NOT_EVENTUALLY_PERIODIC
