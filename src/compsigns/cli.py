@@ -4,14 +4,14 @@ Every capability is exposed through one subcommand with reproducible,
 machine-readable output: identical command and inputs give byte-identical
 primary output.  Exit codes: 0 success/pass, 1 property violated (a
 counterexample is emitted), 2 inconclusive, 3 input refused (by the
-parser, by a ``SpecError``: a bad set or polynomial spec, a value out of
-range or a query past a set's horizon, or by an ``--out`` path that
-cannot be written), 4 anything else: a bug, never a verdict, reported on
-stderr alone.  A broken invariant (routes that disagree under ``sk
---route all``, a non-integer value from an exact division) prints its
-message; any other exception, ``ValueError`` included, prints its
-traceback.  A stdout closed before the output is written (``| head``)
-ends the run quietly with 141, the code a shell reports for SIGPIPE.
+parser, by a ``SpecError``: a bad set or polynomial spec or a value out
+of range, or by an ``--out`` path that cannot be written), 4 anything
+else: a bug, never a verdict, reported on stderr alone.  A broken
+invariant (routes that disagree under ``sk --route all``, a non-integer
+value from an exact division) prints its message; any other exception,
+``ValueError`` included, prints its traceback.  A stdout closed before
+the output is written (``| head``) ends the run quietly with 141, the
+code a shell reports for SIGPIPE.
 A process started as ``compsigns`` or ``python -m compsigns.cli`` ends
 through ``run``: stdout and stderr are flushed, then the process leaves
 with ``os._exit`` and skips interpreter teardown, so ``atexit`` handlers
@@ -69,15 +69,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _spec(text: str, need: int) -> SetSpec:
-    """Parse a set, making sure its query horizon covers n <= need."""
-    return parse_spec(text, horizon=max(DEFAULT_HORIZON, need))
-
-
-def _q_spec(text: str, n: int) -> SetSpec:
-    """_spec for the runs of the q-series up to n, which reads the parts
-    up to n + min(A); an explicit @H suffix still wins."""
-    return _spec(text, n + (_spec(text, n).min_element() or 0))
+def _spec(text: str, n: int) -> SetSpec:
+    """Parse a set for a run up to n.  No query is limited by a horizon;
+    the default one is widened to n because thm34 and thm36 print it
+    (``@H``), and an explicit @H suffix still wins."""
+    return parse_spec(text, horizon=max(DEFAULT_HORIZON, n))
 
 
 def build_parser() -> _Parser:
@@ -183,7 +179,7 @@ def _cmd_polys(args):
 def _cmd_sk(args):
     from .sums import grid_csv
 
-    spec = _q_spec(args.A, args.N)
+    spec = _spec(args.A, args.N)
     if args.route != "all":
         grid = ROUTES[args.route](spec, args.K, args.N)
         return 0, [("grid.csv", grid_csv(grid))]
@@ -227,7 +223,7 @@ def _cmd_verify(args):
 
         if not args.A:
             raise SpecError("verify --suite section2 needs -A")
-        report = verify_identities(_q_spec(args.A, args.N), args.N)
+        report = verify_identities(_spec(args.A, args.N), args.N)
         text = "\n".join(report.summary_lines()) + "\n"
         return (0 if report.all_pass else 1), [("verify.txt", text)]
     if suite == "prop33":
@@ -424,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except SpecError as exc:  # HorizonError included
+    except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:  # the reader left; the flush at exit goes to devnull
@@ -446,7 +442,9 @@ def run() -> None:
 
     This is safe because main closes every file it writes before it
     returns, and no module registers work for exit (atexit, weakref
-    finalizers, tempfile).  A flush that fails leaves through sys.exit."""
+    finalizers, tempfile).  A flush into a pipe the reader has closed ends
+    quietly with 141, as main does; any other failed flush leaves through
+    sys.exit."""
     try:
         code = main()
     except SystemExit as exc:  # argparse ends --version and --help
@@ -454,7 +452,9 @@ def run() -> None:
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except (OSError, ValueError):  # a closed pipe or file
+    except BrokenPipeError:  # argparse's text, printed outside main's handler
+        os._exit(141)
+    except (OSError, ValueError):  # a closed file
         sys.exit(code)
     os._exit(code)
 

@@ -81,7 +81,7 @@ def partition_counts(spec: SetSpec, upto: int) -> list[int]:
     if upto < 0:
         raise ValueError("upto must be non-negative")
     table = [1] + [0] * upto
-    for a in spec.members_capped(upto):
+    for a in spec.members_up_to(upto):
         for n in range(a, upto + 1):
             table[n] += table[n - a]
     return table
@@ -95,9 +95,7 @@ def q_series(spec: SetSpec, order: int) -> RatSeries:
 
     Both f and x f' have lowest term at m = min(set); after shifting down
     by m the quotient is a unit series.  Coefficients up to x^order only
-    involve parts <= order + m, so infinite sets are truncated there
-    (which must lie within their horizon); finite sets always use every
-    part they have.
+    involve parts <= order + m, so every set is truncated there.
     """
     m = spec.min_element()
     if m is None:
@@ -106,7 +104,7 @@ def q_series(spec: SetSpec, order: int) -> RatSeries:
         raise ValueError("order must be non-negative")
     from fractions import Fraction
 
-    members = spec.members_capped(order + m)
+    members = spec.members_up_to(order + m)
     num = [Fraction(0)] * (order + 1)
     den = [Fraction(0)] * (order + 1)
     for a in members:
@@ -133,7 +131,7 @@ def q_series_scaled(spec: SetSpec, order: int) -> tuple[int, list[int]]:
         raise ValueError("order must be non-negative")
     num = [0] * (order + 1)   # num_i * m^i
     den = [1] + [0] * order   # den_i * m^(i-1), constant term den_0 / m
-    for a in spec.members_capped(order + m):
+    for a in spec.members_up_to(order + m):
         i = a - m
         if i <= order:
             num[i] = m**i

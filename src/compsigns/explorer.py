@@ -75,8 +75,7 @@ def verify_cofinite_even_complement(E: SetSpec, upto: int, k_max: int = 3) -> Co
     eprime = e_prime(E)  # rejects odd elements
     if upto < 1:
         raise SpecError("upto must be >= 1")
-    a_spec = SetSpec(COFINITE, E.data, max(upto, E.horizon))
-    grid = sk_fast(a_spec, k_max, upto)
+    grid = sk_fast(SetSpec(COFINITE, E.data), k_max, upto)
     counts = comp_counts(eprime, upto)
 
     mismatch = None
@@ -309,7 +308,7 @@ def union_relation_check(A: SetSpec, B: SetSpec, upto: int) -> bool:
     mb = set(B.members_up_to(upto))
     if ma & mb:
         raise SpecError(f"sets share {sorted(ma & mb)[:3]}; need disjoint sets")
-    union = explicit(sorted(ma | mb), horizon=max(upto, 1))
+    union = explicit(ma | mb)
 
     for t in (1, -1):
         inv = []
@@ -346,8 +345,7 @@ def repunit_extension_experiment(m: int, horizon: int) -> RepunitProbe:
     """
     if m % 2 == 1 or m <= 3:
         raise SpecError("need even m > 3")
-    rep = SetSpec(REPUNIT, (m,), max(horizon, 1))
-    members = sorted(set(rep.members_up_to(horizon)) | {m})
+    members = sorted(set(SetSpec(REPUNIT, (m,)).members_up_to(horizon)) | {m})
     fv = first_violation(members, horizon)
     return RepunitProbe(m, horizon, tuple(members),
                         None if fv < 0 else fv)

@@ -230,7 +230,7 @@ def denom_poly(spec: SetSpec) -> IntPoly:
     coefficient n equal to S_0(n).  Finite sets only."""
     if not spec.is_finite:
         raise SpecError("denominator polynomial needs a finite part set")
-    members = spec.members_capped()
+    members = spec.members_up_to()
     top = max(members, default=0)
     coeffs = [0] * (top + 1)
     coeffs[0] = 1

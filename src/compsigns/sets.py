@@ -1,10 +1,11 @@
 """Part-set descriptions: finite lists, initial ranges, cofinite sets, repunits.
 
-A part-set is an immutable description of a subset of the positive integers
-together with an explicit horizon.  Membership may be queried for any integer
-in [1, horizon] and nowhere beyond; infinite families are only ever handled
-through truncations, so a query past the horizon raises instead of silently
-returning a wrong answer.
+A part-set is an immutable description of a subset of the positive integers.
+Every kind is described exactly by finite data, so membership and the
+members up to any n are exact answers, for infinite families too.
+
+A set also carries a horizon, which shows only in how it prints
+(``render`` appends ``@H``); no query is limited by it.
 
 Mini-language accepted by :func:`parse_spec`:
 
@@ -13,7 +14,8 @@ Mini-language accepted by :func:`parse_spec`:
     N+\\{a,b}     all positive integers except a, b (``N+`` alone is all of them)
     repunit(m)   the family {(m^i - 1)/(m - 1) : i >= 1}, m >= 2
 
-Any form takes an optional suffix ``@H`` setting the horizon (default 1000).
+Any form takes an optional suffix ``@H`` setting the printed horizon
+(default 1000).
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class SpecError(ValueError):
     broken invariant must raise anything else."""
 
 
-class HorizonError(SpecError):
-    """A membership query exceeded the horizon the set was built with."""
-
-
 def _check_elements(elems: tuple[int, ...], what: str) -> None:
     for e in elems:
         if not isinstance(e, int) or e < 1:
@@ -52,7 +50,8 @@ def _check_elements(elems: tuple[int, ...], what: str) -> None:
 
 
 class SetSpec(Record):
-    """Immutable description of a part-set, queryable up to ``horizon``."""
+    """Immutable description of a part-set; ``horizon`` shows only in
+    ``render``."""
 
     kind: str
     data: tuple[int, ...]
@@ -88,9 +87,6 @@ class SetSpec(Record):
     def _check_n(self, n: int) -> None:
         if n < 0:
             raise SpecError("n must be non-negative")
-        if n > self.horizon:
-            raise HorizonError(
-                f"query n={n} exceeds horizon {self.horizon} of {self.render()}")
 
     def contains(self, x: int) -> bool:
         self._check_n(x)
@@ -112,8 +108,13 @@ class SetSpec(Record):
             v = v * m + 1  # (m^(i+1)-1)/(m-1) = m*(m^i-1)/(m-1) + 1
         return out
 
-    def members_up_to(self, n: int) -> list[int]:
-        """All elements of the set that are <= n, ascending."""
+    def members_up_to(self, n: int | None = None) -> list[int]:
+        """All elements of the set that are <= n, ascending; every element
+        when n is None, which only a finite set has."""
+        if n is None:
+            if not self.is_finite:
+                raise SpecError(f"{self.render()} is infinite; its members need a cap")
+            n = max(self.data, default=0)
         self._check_n(n)
         if self.kind == EXPLICIT:
             return [a for a in self.data if a <= n]
@@ -123,21 +124,6 @@ class SetSpec(Record):
             excluded = set(self.data)
             return [x for x in range(1, n + 1) if x not in excluded]
         return self._repunit_members(n)
-
-    def members_capped(self, upper: int | None = None) -> list[int]:
-        """Members <= upper, ascending; every member when upper is None.
-
-        Finite kinds know their whole element list and bypass the query
-        horizon; infinite kinds stay horizon-gated and need an upper cap.
-        """
-        if self.kind == EXPLICIT:
-            return [a for a in self.data if upper is None or a <= upper]
-        if self.kind == RANGE:
-            top = self.data[0] if upper is None else min(self.data[0], upper)
-            return list(range(1, top + 1))
-        if upper is None:
-            raise SpecError(f"{self.render()} is infinite; its members need a cap")
-        return self.members_up_to(upper)
 
     def min_element(self) -> int | None:
         """Smallest element, or None for the empty set."""
@@ -159,7 +145,7 @@ class SetSpec(Record):
             return False
         if self.kind == REPUNIT:
             return self.data[0] % 2 == 0
-        return all(a % 2 for a in self.members_capped())
+        return all(a % 2 for a in self.members_up_to())
 
     # -- rendering --------------------------------------------------------
 

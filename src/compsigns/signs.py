@@ -139,10 +139,6 @@ def range_block(m: int) -> tuple[int, ...]:
     return (1, 1) + zeros + (-1, -1) + zeros
 
 
-def _range_spec(m: int, upto: int) -> SetSpec:
-    return SetSpec(sets.RANGE, (m,), max(upto, 1))
-
-
 class PatternCheck(Record):
     m: int
     upto: int
@@ -156,7 +152,7 @@ def check_range_set_pattern(m: int, upto: int) -> PatternCheck:
     """Compare the computed k=0 normalized word of {1..m} with its
     closed-form block, from n = 0 (no preperiod)."""
     block = range_block(m)
-    word = sign_word(sk_fast(_range_spec(m, upto), 0, upto), 0, normalized=True)
+    word = sign_word(sk_fast(SetSpec(sets.RANGE, (m,)), 0, upto), 0, normalized=True)
     mismatch = None
     for n, s in enumerate(word.symbols):
         if s != block[n % len(block)]:
@@ -219,7 +215,7 @@ def check_even_range_conjecture(
         raise ValueError("m must be even and >= 2")
     if k < 0:
         raise ValueError("k must be non-negative")
-    word = sign_word(sk_fast(_range_spec(m, upto), k, upto), k, normalized=True)
+    word = sign_word(sk_fast(SetSpec(sets.RANGE, (m,)), k, upto), k, normalized=True)
     length = len(word)
     if max_pre is None:
         max_pre = length // 4

@@ -7,8 +7,8 @@ for the delta operator D = t * d/dt.
 The four routes share no interesting code, which is the point: they
 cross-validate each other exactly.
 
-* sk_direct: build the polynomial table, weight coefficients by i^k,
-  evaluate at -1.  Trusted reference, definitional.
+* sk_direct: build the polynomial table and sum its coefficients
+  weighted by (-1)^i * i^k.  Trusted reference, definitional.
 * sk_fast: production path on a single integer recurrence (see its
   docstring for the derivation); no polynomial storage.
 * sk_via_q: lift row k to k+1 through the q-series f/(x f'), carried as
@@ -26,7 +26,6 @@ from operator import mul
 from . import InternalError, Record
 from ._backend import conv_trunc, sk_rows
 from .compositions import comp_polys, q_series_scaled
-from .poly import delta_op
 from .sets import SetSpec, SpecError
 
 
@@ -54,12 +53,16 @@ class SkGrid(Record):
 
 
 def sk_direct(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
-    """Reference route: coefficient tables, k-fold delta, evaluation at -1."""
+    """Reference route, the definition read off the coefficient table:
+    S_k(n) = sum_i (-1)^i * i^k * c(i, n)."""
     _check_kn(k_max, n_max)
     table = comp_polys(spec, n_max)
-    rows = []
-    for k in range(k_max + 1):
-        rows.append(tuple(delta_op(table[n], k)(-1) for n in range(n_max + 1)))
+    # terms[n][i] = (-1)^i * i^k * c(i, n), one more factor i per row k
+    terms = [[-c if i % 2 else c for i, c in enumerate(f.coeffs)] for f in table.polys]
+    rows = [tuple(map(sum, terms))]
+    for _ in range(k_max):
+        terms = [[i * c for i, c in enumerate(t)] for t in terms]
+        rows.append(tuple(map(sum, terms)))
     return SkGrid(spec, k_max, n_max, tuple(rows))
 
 

@@ -219,6 +219,26 @@ def totient_candidates_by_sieve(d):
     return [n for n in range(1, limit + 1) if phi[n] <= d]
 
 
+def set_member_reference(kind, data, x):
+    """Whether x lies in the part-set of this kind and data, read off the
+    definition of each kind; a base-m repunit is a number whose base-m
+    digits are all 1."""
+    if x < 1:
+        return False
+    if kind == "explicit":
+        return x in data
+    if kind == "range":
+        return x <= data[0]
+    if kind == "cofinite":
+        return x not in data
+    m = data[0]
+    while x:
+        x, digit = divmod(x, m)
+        if digit != 1:
+            return False
+    return True
+
+
 def first_violation_reference(members, horizon):
     """Smallest n <= horizon where (-1)^n * S_0(n) < 0, or -1 if none: the
     plain recurrence over every member <= n at every n, with no window

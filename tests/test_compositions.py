@@ -27,7 +27,7 @@ from compsigns.compositions import (
     verify_identities,
 )
 from compsigns.poly import IntPoly, delta_op
-from compsigns.sets import HorizonError, SpecError, explicit, parse_spec
+from compsigns.sets import SpecError, explicit, parse_spec
 
 
 def test_anchor_123():
@@ -49,8 +49,13 @@ def test_anchor_even_part():
 
 
 def test_horizon_and_validation():
-    with pytest.raises(HorizonError):
-        comp_polys(parse_spec("{1}@10"), 11)
+    # the horizon limits no query: a table past it is the table of a set
+    # whose horizon covers it
+    for text in ("{1}", "N+\\{2}", "repunit(3)"):
+        assert (comp_polys(parse_spec(text + "@10"), 30).polys
+                == comp_polys(parse_spec(text + "@30"), 30).polys)
+    with pytest.raises(SpecError):
+        comp_polys(parse_spec("{1}"), -1)
     with pytest.raises(ValueError):
         comp_polys(parse_spec("{1}"), 4).by_parts(-1, 4)
 

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import set_member_reference
 
 from compsigns.sets import (
     DEFAULT_HORIZON,
-    HorizonError,
     SetSpec,
     SpecError,
     e_prime,
@@ -77,29 +80,62 @@ def test_parse_rejects(bad):
         parse_spec(bad)
 
 
-def test_horizon_guard():
+def test_queries_past_the_horizon_answer():
     s = parse_spec("{1,2}@10")
-    assert s.members_up_to(10) == [1, 2]
-    with pytest.raises(HorizonError):
-        s.members_up_to(11)
-    with pytest.raises(HorizonError):
-        s.contains(11)
-    with pytest.raises(ValueError):
-        s.members_up_to(-1)
-
-
-def test_members_capped():
-    # finite kinds know every element and bypass the horizon
-    assert parse_spec("{1,5,20}@10").members_capped() == [1, 5, 20]
-    assert parse_spec("{1,5,20}@10").members_capped(19) == [1, 5]
-    assert parse_spec("1..4@2").members_capped() == [1, 2, 3, 4]
-    assert parse_spec("1..4@2").members_capped(3) == [1, 2, 3]
-    # infinite kinds stay horizon-gated and need a cap
-    assert parse_spec("N+\\{2}@10").members_capped(4) == [1, 3, 4]
-    with pytest.raises(HorizonError):
-        parse_spec("N+\\{2}@10").members_capped(11)
+    assert s.members_up_to(11) == [1, 2]
+    assert not s.contains(11)
+    assert parse_spec("N+\\{2}@10").members_up_to(12)[-3:] == [10, 11, 12]
+    assert parse_spec("repunit(3)@3").contains(40)
+    assert parse_spec("repunit(3)@3").members_up_to(40) == [1, 4, 13, 40]
     with pytest.raises(SpecError):
-        parse_spec("repunit(3)").members_capped()
+        s.members_up_to(-1)
+    with pytest.raises(SpecError):
+        s.contains(-1)
+
+
+def test_members_up_to_every_member():
+    # with no bound, a finite set lists every element, past its horizon too
+    assert parse_spec("{1,5,20}@10").members_up_to() == [1, 5, 20]
+    assert parse_spec("{1,5,20}@10").members_up_to(19) == [1, 5]
+    assert parse_spec("1..4@2").members_up_to() == [1, 2, 3, 4]
+    assert parse_spec("1..4@2").members_up_to(3) == [1, 2, 3]
+    assert parse_spec("{}").members_up_to() == []
+    # an infinite set needs a bound
+    assert parse_spec("N+\\{2}@10").members_up_to(4) == [1, 3, 4]
+    with pytest.raises(SpecError, match=r"^repunit\(3\)@1000 is infinite; its members need a cap$"):
+        parse_spec("repunit(3)").members_up_to()
+    with pytest.raises(SpecError, match=r"is infinite; its members need a cap"):
+        parse_spec("N+").members_up_to()
+
+
+@st.composite
+def _set_of_any_kind(draw):
+    kind = draw(st.sampled_from(["explicit", "range", "cofinite", "repunit"]))
+    if kind in ("explicit", "cofinite"):
+        data = tuple(sorted(draw(st.sets(st.integers(1, 30), max_size=6))))
+    elif kind == "range":
+        data = (draw(st.integers(1, 30)),)
+    else:
+        data = (draw(st.integers(2, 6)),)
+    return SetSpec(kind, data, draw(st.integers(1, 20)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_set_of_any_kind(), st.data())
+def test_queries_match_the_oracle_to_ten_horizons(spec, data):
+    top = 10 * spec.horizon
+    want = [x for x in range(1, top + 1) if set_member_reference(spec.kind, spec.data, x)]
+    for x in range(top + 1):
+        assert spec.contains(x) == (x in want)
+    for n in (0, 1, spec.horizon, spec.horizon + 1, top,
+              data.draw(st.integers(0, top), label="n")):
+        assert spec.members_up_to(n) == [x for x in want if x <= n]
+    if spec.is_finite:  # every element is at most 30
+        assert spec.members_up_to() == [
+            x for x in range(1, 31) if set_member_reference(spec.kind, spec.data, x)]
+    else:
+        with pytest.raises(SpecError, match="is infinite; its members need a cap"):
+            spec.members_up_to()
 
 
 def test_contains():

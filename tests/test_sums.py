@@ -49,10 +49,11 @@ def test_matches_brute_force():
     rng = random.Random(211)
     for _ in range(6):
         parts = sorted(rng.sample(range(1, 7), rng.randint(1, 4)))
-        grid = sk_fast(explicit(parts), 3, 11)
-        for k in range(4):
-            for n in range(12):
-                assert grid.value(k, n) == alt_moment_sum(parts, k, n)
+        for route in (sk_direct, sk_fast):
+            grid = route(explicit(parts), 3, 11)
+            for k in range(4):
+                for n in range(12):
+                    assert grid.value(k, n) == alt_moment_sum(parts, k, n), route
 
 
 def test_four_routes_agree():
@@ -64,6 +65,12 @@ def test_four_routes_agree():
         ref = sk_direct(spec, 4, 25)
         for route in (sk_fast, sk_via_q, sk_via_conv):
             assert route(spec, 4, 25).values == ref.values, (spec.render(), route)
+
+
+def test_grid_past_the_horizon():
+    # the default horizon is 1000, and a grid to n = 1500 needs no wider one
+    want = sk_fast(parse_spec("{1,4,5}@2000"), 3, 1500).values
+    assert sk_fast(parse_spec("{1,4,5}"), 3, 1500).values == want
 
 
 def test_grid_invariants():
