@@ -68,6 +68,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # argparse swallows a failed write of --help or --version; on an
+    # unbuffered stdout that write was the last chance to see the closed
+    # pipe, so let it fail as any other write does
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _spec(text: str, n: int) -> SetSpec:
     """Parse a set for a run up to n.  No query is limited by a horizon;

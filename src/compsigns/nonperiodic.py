@@ -61,9 +61,10 @@ polynomial, and x -> c*x followed by the primitive part gives R.
 from __future__ import annotations
 
 import cmath
-from typing import TYPE_CHECKING
+import math
 
 from . import Record
+from .bigfloat import INF, Complex, Real
 from .poly import (
     IntPoly,
     cyclotomic_divides,
@@ -74,12 +75,6 @@ from .poly import (
     yun_squarefree,
 )
 from .sets import SetSpec, SpecError
-
-# mpmath, the only numeric library here, is imported inside the
-# functions that use it: importing this module loads none, only running a
-# certificate does
-if TYPE_CHECKING:
-    import mpmath as mp
 
 NOT_EVENTUALLY_PERIODIC = "NotEventuallyPeriodic"
 INCONCLUSIVE = "Inconclusive"
@@ -114,10 +109,12 @@ def residual_target(precision: int) -> float:
     return 2.0 ** -min(128, precision // 2)
 
 
+# every root, modulus and distance is a bigfloat Real or Complex at the
+# working precision, floating point on Python ints
 class Root(Record):
-    value: mp.mpc
+    value: Complex
     multiplicity: int
-    residual: mp.mpf
+    residual: Real
 
 
 class RootProfile(Record):
@@ -131,16 +128,16 @@ class RootProfile(Record):
 
 
 class DominantInfo(Record):
-    root: mp.mpc          # the member of the pair with positive imaginary part
-    modulus: mp.mpf
+    root: Complex         # the member of the pair with positive imaginary part
+    modulus: Real
     multiplicity: int
-    relative_gap: mp.mpf  # to the nearest other cluster; inf if none
+    relative_gap: Real    # to the nearest other cluster; inf if none
 
 
 class ZetaTest(Record):
     degree_bound: int
     orders_checked: int
-    min_distance: mp.mpf
+    min_distance: Real
     min_at_order: int
 
 
@@ -162,10 +159,8 @@ class NonPeriodicityReport(Record):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        import mpmath as mp
-
         def num(x):
-            return mp.nstr(x, 32)
+            return x.nstr(32)
 
         roots_json = None
         if self.profile is not None:
@@ -267,18 +262,18 @@ def _sweep(factor: IntPoly, roots: list, target) -> bool:
     return False
 
 
-def _durand_kerner(factor: IntPoly, precision: int) -> list[mp.mpc]:
+def _durand_kerner(factor: IntPoly, precision: int) -> list[Complex]:
     """All roots of a square-free integer polynomial: spiral seeds inside
     Fujiwara's bound, refined first in double precision and then at the
     working precision down to 2^-(precision-16)."""
-    import mpmath as mp
-
     deg = factor.degree
     # spiral seeds r*(0.4+0.9i)^k of pairwise distinct moduli, r being
-    # Fujiwara's root bound in mpf (no big integer divided into a float)
-    radius = 2 * max((mp.mpf(abs(c)) / abs(factor.lead)) ** (mp.mpf(1) / (deg - i))
+    # Fujiwara's root bound (no big integer divided into a float)
+    one = Real.of(1, precision)
+    radius = 2 * max((Real.of(abs(c), precision) / abs(factor.lead)) ** (one / (deg - i))
                      for i, c in enumerate(factor.coeffs[:-1]))
-    roots = [radius * mp.mpc(0.4, 0.9) ** k for k in range(1, deg + 1)]
+    spiral = Complex.of(0.4 + 0.9j, precision)
+    roots = [radius * spiral**k for k in range(1, deg + 1)]
     # a head start in doubles down to 2^-50 r, skipped on overflow; its
     # roots replace the seeds when finite and distinct, settled or not,
     # since a cluster too tight for doubles never settles yet ends near it
@@ -286,25 +281,23 @@ def _durand_kerner(factor: IntPoly, precision: int) -> list[mp.mpc]:
         fast = [complex(z) for z in roots]
         _sweep(factor, fast, 2.0**-50 * float(radius))
         if all(map(cmath.isfinite, fast)) and len(set(fast)) == deg:
-            roots = [mp.mpc(z) for z in fast]
+            roots = [Complex.of(z, precision) for z in fast]
     except OverflowError:
         pass
-    if not _sweep(factor, roots, mp.mpf(2) ** (16 - precision)):
+    if not _sweep(factor, roots, Real.of(2, precision) ** (16 - precision)):
         raise RootConvergenceError(
             f"no convergence for degree {deg} within {SWEEP_BUDGET} sweeps")
     return roots
 
 
-def _enforce_conjugates(roots: list[mp.mpc], target: mp.mpf) -> list[mp.mpc]:
+def _enforce_conjugates(roots: list[Complex], target: Real) -> list[Complex]:
     """Snap a root list of a real polynomial to exact conjugate symmetry."""
-    import mpmath as mp
-
-    im_eps = mp.sqrt(target)
+    im_eps = target.sqrt()
     real_part = []
     complex_part = []
     for r in roots:
         if abs(r.imag) <= im_eps * (1 + abs(r)):
-            real_part.append(mp.mpc(r.real, 0))
+            real_part.append(Complex.of(r.real, r.prec))
         else:
             complex_part.append(r)
     uppers = sorted((r for r in complex_part if r.imag > 0),
@@ -314,11 +307,11 @@ def _enforce_conjugates(roots: list[mp.mpc], target: mp.mpf) -> list[mp.mpc]:
         raise RootConvergenceError("conjugate pairing failed")
     out = list(real_part)
     for u in uppers:
-        j = min(range(len(lowers)), key=lambda i: abs(mp.conj(lowers[i]) - u))
+        j = min(range(len(lowers)), key=lambda i: abs(lowers[i].conjugate() - u))
         mate = lowers.pop(j)
-        z = (u + mp.conj(mate)) / 2
+        z = (u + mate.conjugate()) / 2
         out.append(z)
-        out.append(mp.conj(z))
+        out.append(z.conjugate())
     return out
 
 
@@ -330,27 +323,24 @@ def roots_numeric(p: IntPoly, precision: int = PRECISION) -> RootProfile:
     symmetry is enforced exactly, and every root satisfies the residual
     bound |p(root)| <= residual_target(precision) * (1 + |root|)^deg(p).
     """
-    import mpmath as mp
-
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     if p.coeffs[0] != 1:
         raise ValueError("need constant term 1")
-    with mp.workprec(precision):
-        tol = mp.mpf(residual_target(precision))
-        found: list[Root] = []
-        for factor, mult in yun_squarefree(p):
-            raw = _durand_kerner(factor, precision)
-            for r in _enforce_conjugates(raw, tol):
-                res = abs(p(r))
-                bound = tol * (1 + abs(r)) ** p.degree
-                if res > bound:
-                    raise RootConvergenceError(
-                        f"residual {mp.nstr(res, 8)} above bound at root "
-                        f"{mp.nstr(r, 8)}")
-                found.append(Root(r, mult, res))
-        found.sort(key=lambda rt: (rt.value.real, rt.value.imag))
-        return RootProfile(p, precision, tuple(found))
+    tol = Real.of(residual_target(precision), precision)
+    found: list[Root] = []
+    for factor, mult in yun_squarefree(p):
+        raw = _durand_kerner(factor, precision)
+        for r in _enforce_conjugates(raw, tol):
+            res = abs(p(r))
+            bound = tol * (1 + abs(r)) ** p.degree
+            if res > bound:
+                raise RootConvergenceError(
+                    f"residual {res.nstr(8)} above bound at root "
+                    f"{r.real.nstr(8)} + {r.imag.nstr(8)}i")
+            found.append(Root(r, mult, res))
+    found.sort(key=lambda rt: (rt.value.real, rt.value.imag))
+    return RootProfile(p, precision, tuple(found))
 
 
 # -- the certificate ----------------------------------------------------------
@@ -359,8 +349,6 @@ def roots_numeric(p: IntPoly, precision: int = PRECISION) -> RootProfile:
 def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
     """Run the dominant-root certificate on p (p(0) = 1, degree >= 2),
     with the exact unity tier as well when ``exact``."""
-    import mpmath as mp
-
     if p.degree < 2:
         raise SpecError("need degree >= 2")
     if p.coeffs[0] != 1:
@@ -373,85 +361,87 @@ def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
         return NonPeriodicityReport(
             p, exact, INCONCLUSIVE, (REASON_CONVERGENCE,))
 
-    with mp.workprec(PRECISION):
-        reasons: list[str] = []
-        tol = mp.mpf(residual_target(PRECISION))
+    reasons: list[str] = []
+    tol = Real.of(residual_target(PRECISION), PRECISION)
 
-        # a conjugate pair shares its modulus exactly, so group by modulus:
-        # the tight window collects roots at the minimal modulus, the gap
-        # test measures everything outside it
-        moduli = [abs(r.value) for r in profile.roots]
-        dom_mod = min(moduli)
-        tight = 2 * tol * (1 + dom_mod)
-        dom_group = [i for i, m in enumerate(moduli) if m - dom_mod <= tight]
-        rest = [moduli[i] for i in range(len(moduli)) if i not in dom_group]
-        rel_gap = (min(rest) - dom_mod) / dom_mod if rest else mp.inf
+    # a conjugate pair shares its modulus exactly, so group by modulus:
+    # the tight window collects roots at the minimal modulus, the gap
+    # test measures everything outside it
+    moduli = [abs(r.value) for r in profile.roots]
+    dom_mod = min(moduli)
+    tight = 2 * tol * (1 + dom_mod)
+    dom_group = [i for i, m in enumerate(moduli) if m - dom_mod <= tight]
+    rest = [moduli[i] for i in range(len(moduli)) if i not in dom_group]
+    rel_gap = (min(rest) - dom_mod) / dom_mod if rest else Real(INF, PRECISION)
 
-        # hypothesis (i): the minimal modulus carries one non-real pair
-        dominant = None
-        pair_ok = False
-        if len(dom_group) == 2:
-            r0, r1 = (profile.roots[i] for i in dom_group)
-            if r0.value.imag != 0 and r0.value == mp.conj(r1.value):
-                upper = r0.value if r0.value.imag > 0 else r1.value
-                dominant = DominantInfo(upper, dom_mod, r0.multiplicity, rel_gap)
-                pair_ok = True
-        if not pair_ok:
-            only_real = all(profile.roots[i].value.imag == 0 for i in dom_group)
-            reasons.append(REASON_DOMINANT_REAL if only_real
-                           else REASON_DOMINANT_AMBIGUOUS)
+    # hypothesis (i): the minimal modulus carries one non-real pair
+    dominant = None
+    pair_ok = False
+    if len(dom_group) == 2:
+        r0, r1 = (profile.roots[i] for i in dom_group)
+        if r0.value.imag != 0 and r0.value == r1.value.conjugate():
+            upper = r0.value if r0.value.imag > 0 else r1.value
+            dominant = DominantInfo(upper, dom_mod, r0.multiplicity, rel_gap)
+            pair_ok = True
+    if not pair_ok:
+        only_real = all(profile.roots[i].value.imag == 0 for i in dom_group)
+        reasons.append(REASON_DOMINANT_REAL if only_real
+                       else REASON_DOMINANT_AMBIGUOUS)
 
-        # hypothesis (ii): strict relative modulus gap past the pair
-        if pair_ok and not rel_gap > MIN_GAP:
-            reasons.append(REASON_GAP)
+    # hypothesis (ii): strict relative modulus gap past the pair
+    if pair_ok and not rel_gap > MIN_GAP:
+        reasons.append(REASON_GAP)
 
-        # hypothesis (iii): zeta not a root of unity (numeric screen)
-        zeta_test = None
-        if pair_ok:
-            d = p.degree
-            bound = 2 * d * (d - 1)
-            zeta = mp.conj(dominant.root) / abs(dominant.root)
-            orders = totient_candidates(bound)
-            best, best_at = _unity_screen(zeta, orders)
-            zeta_test = ZetaTest(bound, len(orders), best, best_at)
-            if not best > MIN_UNITY_DISTANCE:
-                reasons.append(REASON_UNITY)
+    # hypothesis (iii): zeta not a root of unity (numeric screen)
+    zeta_test = None
+    if pair_ok:
+        d = p.degree
+        bound = 2 * d * (d - 1)
+        zeta = dominant.root.conjugate() / abs(dominant.root)
+        orders = totient_candidates(bound)
+        best, best_at = _unity_screen(zeta, orders)
+        zeta_test = ZetaTest(bound, len(orders), best, best_at)
+        if not best > MIN_UNITY_DISTANCE:
+            reasons.append(REASON_UNITY)
 
-        # optional exact tier for (iii); a found divisor means the exact
-        # proof did not materialize (some root ratio is a root of unity,
-        # not necessarily zeta^2), so the requested certificate is refused;
-        # an oversized degree merely skips the tier and is noted
-        exact_test = None
-        notes: list[str] = []
-        if exact and pair_ok:
-            if p.degree > EXACT_DEGREE_CAP:
-                notes.append(NOTE_EXACT_SKIPPED)
-            else:
-                exact_test = _exact_unity_screen(p, bound)
-                if exact_test.divisor_order is not None:
-                    reasons.append(REASON_EXACT_DIVISOR)
+    # optional exact tier for (iii); a found divisor means the exact
+    # proof did not materialize (some root ratio is a root of unity,
+    # not necessarily zeta^2), so the requested certificate is refused;
+    # an oversized degree merely skips the tier and is noted
+    exact_test = None
+    notes: list[str] = []
+    if exact and pair_ok:
+        if p.degree > EXACT_DEGREE_CAP:
+            notes.append(NOTE_EXACT_SKIPPED)
+        else:
+            exact_test = _exact_unity_screen(p, bound)
+            if exact_test.divisor_order is not None:
+                reasons.append(REASON_EXACT_DIVISOR)
 
-        verdict = NOT_EVENTUALLY_PERIODIC if not reasons else INCONCLUSIVE
-        return NonPeriodicityReport(p, exact, verdict, tuple(reasons),
-                                    profile, dominant, zeta_test, exact_test,
-                                    tuple(notes))
+    verdict = NOT_EVENTUALLY_PERIODIC if not reasons else INCONCLUSIVE
+    return NonPeriodicityReport(p, exact, verdict, tuple(reasons),
+                                profile, dominant, zeta_test, exact_test,
+                                tuple(notes))
 
 
-def _unity_screen(zeta: mp.mpc, orders: list[int]) -> tuple[mp.mpf, int]:
+def _unity_screen(zeta: Complex, orders: list[int]) -> tuple[Real, int]:
     """Least |zeta^n - 1| over the ascending ``orders``, and the first
     order that attains it, exactly as the loop computing abs(zeta**n - 1)
     for every order would report them; orders 1 and 2 must be among them.
 
     With zeta = e^(2 pi i t), |zeta^n - 1| = 2 sin(pi ||n t||), ||.|| the
-    distance to the nearest integer.  One angle t, in units of 2^-p at
-    the working precision p, gives every ||n t|| by integer arithmetic,
-    and only the orders whose estimate lies within m = 2^(24 - p) *
-    max(orders) of the least estimate pay for zeta**n.
+    distance to the nearest integer.  One angle t, the phase of the double
+    nearest zeta in units of 2^-64 turns, gives every ||n t|| by integer
+    arithmetic, and only the orders whose estimate lies within
+    m = 2^(24 - min(p, 53)) * max(orders) of the least estimate pay for
+    zeta**n, p being zeta's precision.
 
     Why nothing else can win: let e bound the error of each estimate of
-    ||n t|| and of each computed |zeta^n - 1|.  Rounding zeta, t and the
-    products costs a small multiple of n * 2^-p, so e < m / 4 with a wide
-    margin.  Let a be the order of the least estimate.  Since
+    ||n t|| and of each computed |zeta^n - 1|.  Rounding zeta to a double
+    and taking its phase costs at most 2^-52 of a turn, so an estimate is
+    off by at most n * 2^-52 and a little more; rounding zeta and its powers
+    at precision p costs a small multiple of n * 2^-p.  So e < m / 4 with a
+    wide margin.  Let a be the order of the least estimate.  Since
     min(||t||, ||2t||) <= 1/3, ||a t|| <= 1/3 + 2e.  On [0, 1/2],
     2 sin(pi f) is increasing and concave, so its chord slope between
     ||a t|| and any larger f <= 1/2 is at least the one on [0.34, 1/2],
@@ -460,13 +450,11 @@ def _unity_screen(zeta: mp.mpc, orders: list[int]) -> tuple[mp.mpf, int]:
     than m - 4e > 0: it is neither the least nor tied with it.  When
     m >= 1/2 every order is on the shortlist.
     """
-    import mpmath as mp
-
-    scale = 1 << mp.mp.prec
-    turn = int(mp.arg(zeta) / (2 * mp.pi) * scale)
+    scale = 1 << 64
+    turn = round(cmath.phase(complex(zeta)) / (2 * math.pi) * scale)
     near = [min(r, scale - r) for r in (n * turn % scale for n in orders)]
-    cut = min(near) + (orders[-1] << 24)
-    best, best_at = mp.inf, 0
+    cut = min(near) + (orders[-1] << (88 - min(zeta.prec, 53)))
+    best, best_at = Real(INF, zeta.prec), 0
     for n, f in zip(orders, near):
         if f <= cut:
             dist = abs(zeta**n - 1)

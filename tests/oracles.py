@@ -259,10 +259,18 @@ def first_violation_reference(members, horizon):
 
 def unity_screen_reference(zeta, orders):
     """Least |zeta^n - 1| over the orders and the first order attaining it,
-    computing zeta**n for every order at the current mpmath precision."""
+    computing zeta**n for every order at zeta's precision."""
     best, best_at = float("inf"), 0
     for n in orders:
         dist = abs(zeta**n - 1)
         if dist < best:
             best, best_at = dist, n
     return best, best_at
+
+
+def as_mpmath(x):
+    """A bigfloat Real or Complex as the mpmath number with the same raw
+    value, rounded nowhere (a complex's raw value is a pair of tuples)."""
+    import mpmath as mp
+
+    return mp.make_mpc(x.raw) if isinstance(x.raw[0], tuple) else mp.make_mpf(x.raw)

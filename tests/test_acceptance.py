@@ -11,7 +11,7 @@ import random
 import mpmath as mp
 import pytest
 
-from oracles import triangle_counts
+from oracles import as_mpmath, triangle_counts
 
 from compsigns.compositions import comp_polys, verify_identities
 from compsigns.explorer import (
@@ -156,8 +156,8 @@ def test_c09_certifier():
     p14 = denom_poly(parse_spec("{1,4}"))
 
     prof = roots_numeric(p23)
-    reals = [r.value for r in prof.roots if r.value.imag == 0]
-    uppers = [r.value for r in prof.roots if r.value.imag > 0]
+    reals = [as_mpmath(r.value) for r in prof.roots if r.value.imag == 0]
+    uppers = [as_mpmath(r.value) for r in prof.roots if r.value.imag > 0]
     assert len(reals) == 1 and len(uppers) == 1
     assert abs(reals[0] - mp.mpf("-1.4656")) < 5e-4
     assert abs(uppers[0].real - mp.mpf("0.2328")) < 5e-4
@@ -167,7 +167,8 @@ def test_c09_certifier():
     rep14 = check_nonperiodic(p14)
     assert rep23.verdict == NOT_EVENTUALLY_PERIODIC
     assert rep14.verdict == NOT_EVENTUALLY_PERIODIC
-    zeta = mp.conj(rep23.dominant.root) / abs(rep23.dominant.root)
+    root = as_mpmath(rep23.dominant.root)
+    zeta = mp.conj(root) / abs(root)
     assert abs(zeta**12 - mp.mpc("-0.95", "-0.28")) < 0.02
 
     assert check_nonperiodic(IntPoly((1, -1, -1))).verdict == INCONCLUSIVE

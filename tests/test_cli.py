@@ -288,8 +288,8 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
 
 def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     # a fresh process: a non-certifier run loads neither the certifier
-    # module nor mpmath, importing the certifier still leaves mpmath out
-    # until it runs, and numpy never loads; the process-pool machinery
+    # module nor mpmath, the certifier never loads mpmath, even when it
+    # runs, and numpy never loads; the process-pool machinery
     # stays out too, even for a scan run with --jobs 2, and no run, the
     # certifier's included, loads fractions or decimal.  Each run loads
     # only its own subcommand: no module a bare interpreter lacks that
@@ -332,7 +332,7 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
         env=env, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     loaded = [ln for ln in lines if ln.startswith("loaded ")]
-    assert loaded == ["loaded []", "loaded ['mpmath']"]
+    assert loaded == ["loaded []", "loaded []"]
     assert "pool False" in lines
     new = {}
     for ln in lines:
@@ -492,15 +492,19 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
     # argparse prints these itself and ends by SystemExit, outside main's
     # handler; the reader is gone before the child starts, so the write
-    # fails whatever the timing
+    # fails whatever the timing.  Unbuffered, the write itself fails, inside
+    # argparse, and must still end in 141
     for flag in ("--version", "--help"):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = _cli_process("-m", "compsigns.cli", flag, stdout=write_end)
-        finally:
-            os.close(write_end)
-        assert (flag, proc.returncode, proc.stderr) == (flag, 141, b"")
+        for unbuffered in (False, True):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = _cli_process("-m", "compsigns.cli", flag, stdout=write_end,
+                                    unbuffered=unbuffered)
+            finally:
+                os.close(write_end)
+            assert (flag, unbuffered, proc.returncode, proc.stderr) == \
+                (flag, unbuffered, 141, b"")
 
 
 def test_enumerate_output(capsys):
@@ -778,14 +782,17 @@ def test_zero_gcd_in_yun_exits_4(capsys, monkeypatch):
     assert "ValueError: zero polynomial has no leading coefficient" in out.err
 
 
-def _cli_process(*args, path="", stdout=subprocess.PIPE):
+def _cli_process(*args, path="", stdout=subprocess.PIPE, unbuffered=False):
     """Run `python ARGS` as its own process, compsigns' sources (and `path`)
     importable, at the help width argparse takes for 80 columns, and with
-    stdout block-buffered, so that output nobody flushes is lost."""
+    stdout block-buffered, so that output nobody flushes is lost, unless
+    ``unbuffered`` sets PYTHONUNBUFFERED."""
     src = str(Path(compsigns.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path])),
            "COLUMNS": "80"}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, timeout=120)
 

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    as_mpmath,
     cyclotomic_by_division,
     cyclotomic_divides_by_division,
     totient_candidates_by_sieve,
@@ -18,6 +19,7 @@ from oracles import (
 
 from compsigns import nonperiodic
 from compsigns._backend import series_inv_int
+from compsigns.bigfloat import Complex
 from compsigns.nonperiodic import (
     INCONCLUSIVE,
     NOT_EVENTUALLY_PERIODIC,
@@ -75,16 +77,16 @@ def test_roots_linear():
 def test_roots_pure_imaginary_pair():
     prof = roots_numeric(IntPoly((1, 0, 1)))
     vals = sorted((r.value for r in prof.roots), key=lambda z: z.imag)
-    assert abs(vals[0] - mp.mpc(0, -1)) < mp.mpf(2) ** -100
-    assert vals[0] == mp.conj(vals[1])
+    assert abs(as_mpmath(vals[0]) - mp.mpc(0, -1)) < mp.mpf(2) ** -100
+    assert vals[0] == vals[1].conjugate()
 
 
 def test_roots_p23_anchor_values():
     # real root near -1.4656, pair near 0.2328 +- 0.7926i
     prof = roots_numeric(P23)
     assert prof.degree == 3
-    reals = [r.value for r in prof.roots if r.value.imag == 0]
-    pairs = [r.value for r in prof.roots if r.value.imag > 0]
+    reals = [as_mpmath(r.value) for r in prof.roots if r.value.imag == 0]
+    pairs = [as_mpmath(r.value) for r in prof.roots if r.value.imag > 0]
     assert len(reals) == 1 and len(pairs) == 1
     assert abs(reals[0] - mp.mpf("-1.4656")) < 5e-5
     assert abs(pairs[0].real - mp.mpf("0.2328")) < 5e-5
@@ -111,10 +113,11 @@ def test_roots_residual_invariant_random():
         # conjugation must run at the profile precision: mpmath rounds
         # every operation, even negation, to the ambient precision
         with mp.workprec(prof.precision):
-            pairs = {(r.value.real, r.value.imag) for r in prof.roots}
-            for r in prof.roots:
-                assert r.residual <= tol * (1 + abs(r.value)) ** p.degree
-                assert (r.value.real, -r.value.imag) in pairs
+            values = [as_mpmath(r.value) for r in prof.roots]
+            pairs = {(z.real, z.imag) for z in values}
+            for r, z in zip(prof.roots, values):
+                assert as_mpmath(r.residual) <= tol * (1 + abs(z)) ** p.degree
+                assert (z.real, -z.imag) in pairs
 
 
 def test_roots_rejects_bad_inputs():
@@ -141,17 +144,18 @@ def _check_roots(p, precision):
     """
     prof = roots_numeric(p, precision)
     assert prof.degree == p.degree
+    values = [as_mpmath(r.value) for r in prof.roots]
     with mp.workprec(precision):
-        seen = {(r.value.real, r.value.imag, r.multiplicity) for r in prof.roots}
-        for r in prof.roots:
-            assert (r.value.real, -r.value.imag, r.multiplicity) in seen
+        seen = {(z.real, z.imag, r.multiplicity) for z, r in zip(values, prof.roots)}
+        for z, r in zip(values, prof.roots):
+            assert (z.real, -z.imag, r.multiplicity) in seen
     with mp.workprec(2 * precision):
         rebuilt = [mp.mpc(p.lead)]
         scale = mp.mpf(abs(p.lead))
-        for r in prof.roots:
+        for z, r in zip(values, prof.roots):
             for _ in range(r.multiplicity):
-                rebuilt = [b - r.value * a for a, b in zip(rebuilt + [0], [0] + rebuilt)]
-                scale *= 1 + abs(r.value)
+                rebuilt = [b - z * a for a, b in zip(rebuilt + [0], [0] + rebuilt)]
+                scale *= 1 + abs(z)
         bound = p.degree * mp.mpf(2) ** (16 - precision) * scale
         assert len(rebuilt) == len(p.coeffs)
         for got, want in zip(rebuilt, p.coeffs):
@@ -190,8 +194,8 @@ def test_roots_cluster_too_tight_for_doubles(monkeypatch):
     passes = _record_passes(monkeypatch)
     p = IntPoly((1,) + (0,) * 11 + (-50, 20, -2))
     prof = _check_roots(p, 256)
-    assert passes == [(complex, False), (mp.mpc, True)]
-    near = sorted((r.value for r in prof.roots), key=lambda z: abs(z - 5))[:2]
+    assert passes == [(complex, False), (Complex, True)]
+    near = sorted((as_mpmath(r.value) for r in prof.roots), key=lambda z: abs(z - 5))[:2]
     assert 8e-5 < abs(near[0] - near[1]) < 1e-4
 
 
@@ -202,10 +206,33 @@ def test_roots_coefficient_too_large_for_a_double(monkeypatch):
     passes = _record_passes(monkeypatch)
     p = IntPoly((1, 10**400)) * P23
     prof = _check_roots(p, 2048)
-    assert passes == [(mp.mpc, True)]
+    assert passes == [(Complex, True)]
     with mp.workprec(2048):
         tiny = mp.mpf(10) ** -400
-        assert any(abs(r.value + tiny) < tiny * 2.0**-1000 for r in prof.roots)
+        assert any(abs(as_mpmath(r.value) + tiny) < tiny * 2.0**-1000 for r in prof.roots)
+    # the seeds' radius may differ from mpmath's in its last bit on this
+    # path; the roots, in the report's 32 digits, are mpmath's own
+    with mp.workprec(2400):
+        want = mp.polyroots(p.coeffs[::-1], maxsteps=200, extraprec=2400)
+        want = [mp.chop(z, tol=mp.mpf(10) ** -1000) for z in want]
+    want = sorted((mp.nstr(mp.re(z), 32), mp.nstr(mp.im(z), 32)) for z in want)
+    got = sorted((r.value.real.nstr(32), r.value.imag.nstr(32)) for r in prof.roots)
+    assert got == want
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 10**400, 1, 1),
+    (1, 10**200, 3 * 10**400),
+    (1, 10**400, 2 * 10**800),
+    (1, 5 * 10**310, 7 * 10**620, 2),
+    tuple(a * 10 ** (52 * i) for i, a in enumerate((1, 1, 2, 1, 0, 0, 1))),
+], ids=["10^400 x", "lead 3e400", "scaled 1+y+2y^2", "two past range", "scaled sextic"])
+def test_certificates_past_the_double_range(coeffs):
+    # no head start in doubles: at the working precision every one of these
+    # ended for want of convergence on mpmath, and still does
+    for exact in (False, True):
+        rep = check_nonperiodic(IntPoly(coeffs), exact)
+        assert (rep.verdict, rep.reasons) == (INCONCLUSIVE, (REASON_CONVERGENCE,))
 
 
 def test_roots_far_inside_cauchy_bound():
@@ -214,7 +241,7 @@ def test_roots_far_inside_cauchy_bound():
     prof = _check_roots(IntPoly((1,) + (0,) * 29 + (10**300,)), 256)
     with mp.workprec(256):
         for r in prof.roots:
-            assert abs(abs(r.value) / mp.mpf("1e-10") - 1) < mp.mpf(2) ** -200
+            assert abs(abs(as_mpmath(r.value)) / mp.mpf("1e-10") - 1) < mp.mpf(2) ** -200
 
 
 def test_certify_23():
@@ -223,12 +250,13 @@ def test_certify_23():
     assert rep.reasons == ()
     assert rep.dominant.root.imag > 0
     assert rep.zeta_test.degree_bound == 12
-    assert rep.zeta_test.min_distance > mp.mpf(2) ** -20
+    assert as_mpmath(rep.zeta_test.min_distance) > mp.mpf(2) ** -20
 
 
 def test_certify_23_zeta_power_anchor():
     rep = check_nonperiodic(P23)
-    zeta = mp.conj(rep.dominant.root) / abs(rep.dominant.root)
+    root = as_mpmath(rep.dominant.root)
+    zeta = mp.conj(root) / abs(root)
     assert abs(zeta**12 - mp.mpc("-0.95", "-0.28")) < 0.02
 
 
@@ -303,10 +331,10 @@ def test_unity_screen_matches_oracle_loop(precision, screen_cases):
     # the screen shortlists orders by angle before taking powers; it must
     # report what taking every power reports, noise digits included
     for orders, r in screen_cases:
-        with mp.workprec(precision):
-            zeta = mp.conj(r) / abs(r)
-            assert nonperiodic._unity_screen(zeta, orders) == \
-                unity_screen_reference(zeta, orders), r
+        root = Complex(r._mpc_, precision)
+        zeta = root.conjugate() / abs(root)
+        assert nonperiodic._unity_screen(zeta, orders) == \
+            unity_screen_reference(zeta, orders), r
 
 
 def test_equal_modulus_pairs_ambiguous():
@@ -427,7 +455,7 @@ def test_ratio_poly_vanishes_on_root_ratios():
         coeffs = [mp.mpc(c) for c in r.coeffs]
         for a in prof.roots:
             for b in prof.roots:
-                x = a.value / b.value
+                x = as_mpmath(a.value) / as_mpmath(b.value)
                 val = sum(c * x**i for i, c in enumerate(coeffs))
                 assert abs(val) < mp.mpf(2) ** -80
 
