@@ -1,39 +1,40 @@
 """Binary floating point on Python ints: the certifier's working numbers.
 
-A raw real is a tuple ``(sign, man, exp, bc)`` worth (-1)^sign * man *
-2^exp, bc being the bit length of man, and a raw complex is a pair of
-them.  Zero is ``ZERO``; the one special value is ``INF``, which only
-compares and prints.  ``Real`` holds a raw real and ``Complex`` a raw
-complex, each with a precision in bits.  Every operation rounds its
-result to nearest, ties to even, at the precision of its ``Real`` or
-``Complex`` operand (the left one when both are).
+A raw real is a pair ``(man, exp)`` of ints worth man * 2^exp, stored
+canonical: man odd, or ``ZERO``.  ``INF`` only compares, hashes and
+prints.  ``Real`` holds a raw real and ``Complex`` a pair of them, each
+with a precision; every operation rounds to nearest, ties to even, at
+the precision of its ``Real`` or ``Complex`` operand (the left one).
 
-The functions on raw values reproduce, bit for bit, the arithmetic of
-the pure-Python backend of the multiprecision library that
-tests/test_bigfloat.py runs as its oracle (version 1.3).  They port that
-library's own algorithms, keep its function names, tuple layout and
-rounding letters ("n" nearest, "d" toward zero, "u" away from zero), and
-the tests hold each one to its counterpart.  Two steps are not ports:
+One function rounds: ``_round(man, exp, prec, rnd)`` takes any int man
+to prec bits, to nearest ("n"), toward zero ("d") or away from zero
+("u").  ``add``, ``mul``, ``div`` and ``sqrt`` form the exact result (a
+quotient or root a few bits past prec, with a sticky bit for the
+remainder) and round it once, so each is correctly rounded; and as a
+correctly rounded result is unique, each returns the bits of the
+multiprecision library (mpmath 1.3) that the tests hold this module to.
+``add`` keeps that library's shortcut: a term more than prec + 4 bits
+below the other, their exponents over 100 apart, becomes a sticky unit.
 
-  - x**y for 0 < y < 1 (``mpf_pow_frac``).  The library takes it as
-    exp(y log x) and misrounds about once in 9,300 cases.  Here it is
-    computed to more than prec + 64 bits, then rounded once.
-  - z**n where the exact Gaussian-integer power would pass 10,000 bits.
-    Below that size both compute it exactly and round once.  Above it the
-    library switches to exp(n log z), while here the same powering cuts
-    every product to a few bits past prec and rounds once
-    (``mpc_pow_int``).
+Where that library does not round once, its recipe is kept step for
+step: ``hypot`` (x^2 + y^2 at prec + 4 bits toward zero), ``cdiv``
+(prec + 10 bits toward zero), ``pow_int`` (truncated powering past 1,000
+bits) and the digits of ``to_str``.  Two recipes are this module's own:
+x**y for 0 < y < 1 (``pow_frac``), where the library's exp(y log x)
+misrounds about once in 9,300 cases, is computed to over prec + 64 bits
+and rounded once; and z**n past a 10,000-bit exact Gaussian-integer
+power, where the library switches to exp(n log z), cuts every product of
+the same powering to a few bits past prec (``cpow_int``).
 """
-
-from __future__ import annotations
 
 import math
 import operator
+import sys
 
-ZERO = (0, 0, 0, 0)
-ONE = (0, 1, 0, 1)
-TEN = (0, 5, 1, 3)
-INF = (0, 0, -456, -2)
+ZERO = (0, 0)
+ONE = (1, 0)
+TEN = (5, 1)
+INF = (0, None)
 
 NEAREST, DOWN, UP = "n", "d", "u"
 _RECIPROCAL = {NEAREST: NEAREST, DOWN: UP, UP: DOWN}
@@ -43,81 +44,50 @@ _RECIPROCAL = {NEAREST: NEAREST, DOWN: UP, UP: DOWN}
 _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF40F34326
 _LN10 = 0x24D763776AAA2B05BA95B58AE0B4C28A38A3FB3E7
 
+_HASH = sys.hash_info.modulus
+
+
+def _no_inf(*values):
+    if INF in values:
+        raise ValueError("no arithmetic on infinity")
+
 
 # -- raw reals ----------------------------------------------------------------
 
 
-def normalize(sign, man, exp, bc, prec, rnd):
-    """(-1)^sign * man * 2^exp, man >= 0 of exactly bc bits, rounded to
-    prec bits with its trailing zero bits stripped."""
-    if not man:
-        return ZERO
-    n = bc - prec
+def _round(man, exp, prec, rnd=NEAREST):
+    """man * 2^exp for any int man, rounded to prec bits and canonical."""
+    m = -man if man < 0 else man
+    n = m.bit_length() - prec
     if n > 0:
-        if rnd == NEAREST:
-            t = man >> (n - 1)
-            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-                man = (t >> 1) + 1
-            else:
-                man = t >> 1
+        if rnd == NEAREST:  # half up, less one, plus the kept lowest bit
+            m = (m + (1 << (n - 1)) - 1 + (m >> n & 1)) >> n
         elif rnd == DOWN:
-            man >>= n
+            m >>= n
         else:
-            man = -(-man >> n)
+            m = -(-m >> n)
         exp += n
-        bc = prec
-    if not man & 1:
-        t = (man & -man).bit_length() - 1
-        man >>= t
-        exp += t
-        bc -= t
-    if man == 1:
-        bc = 1
-    return sign, man, exp, bc
-
-
-def normalize1(sign, man, exp, bc, prec, rnd):
-    """normalize for an odd man, which needs no work within prec bits."""
-    if bc <= prec:
-        return (sign, man, exp, bc) if man else ZERO
-    return normalize(sign, man, exp, bc, prec, rnd)
-
-
-def _finite(*values):
-    for sign, man, exp, bc in values:
-        if not man and exp:
-            raise ValueError("no arithmetic on infinity")
-
-
-def from_man_exp(man, exp, prec=0, rnd=DOWN):
-    """man * 2^exp for a signed int man, exact when prec is 0."""
-    sign = 0
-    if man < 0:
-        sign, man = 1, -man
-    bc = man.bit_length()
-    return normalize(sign, man, exp, bc, prec or bc, rnd)
-
-
-def from_int(n):
-    return from_man_exp(n, 0)
+    elif not m:
+        return ZERO if exp is not None else INF
+    if not m & 1:
+        n = (m & -m).bit_length() - 1
+        m >>= n
+        exp += n
+    return (-m if man < 0 else m), exp
 
 
 def from_float(x):
     if x == math.inf:
         return INF
     m, e = math.frexp(x)  # a nan or -inf fails here, in int()
-    return from_man_exp(int(m * (1 << 53)), e - 53)
+    return _round(int(m * (1 << 53)), e - 53, 53)
 
 
-def to_float(s, rnd=NEAREST):
-    """The nearest double (for rnd "n"); inf past the double range."""
-    sign, man, exp, bc = s
-    if not man:
-        return math.inf if s == INF else 0.0
-    if bc > 53:
-        sign, man, exp, bc = normalize1(sign, man, exp, bc, 53, rnd)
-    if sign:
-        man = -man
+def to_float(s):
+    """The nearest double; inf past the double range."""
+    if s == INF:
+        return math.inf
+    man, exp = _round(*s, 53)
     try:
         return math.ldexp(man, exp)
     except OverflowError:
@@ -126,243 +96,107 @@ def to_float(s, rnd=NEAREST):
 
 def to_int(s):
     """s rounded toward zero."""
-    sign, man, exp, bc = s
-    man = man << exp if exp >= 0 else man >> -exp
-    return -man if sign else man
+    man, exp = s
+    m = abs(man) << exp if exp >= 0 else abs(man) >> -exp
+    return -m if man < 0 else m
 
 
-def mpf_pos(s, prec, rnd=DOWN):
-    sign, man, exp, bc = s
-    if not man and exp:
-        return s
-    return normalize1(sign, man, exp, bc, prec, rnd)
-
-
-def mpf_neg(s, prec=0, rnd=DOWN):
-    sign, man, exp, bc = s
-    _finite(s)
-    if not man:
-        return s
-    if not prec:
-        return 1 - sign, man, exp, bc
-    return normalize1(1 - sign, man, exp, bc, prec, rnd)
-
-
-def mpf_abs(s, prec, rnd=DOWN):
-    sign, man, exp, bc = s
-    if not man and exp:
-        return s
-    return normalize1(0, man, exp, bc, prec, rnd)
-
-
-def mpf_add(s, t, prec=0, rnd=DOWN, _sub=0):
-    """s + t, exact when prec is 0.  When one term lies more than prec + 4
-    bits below the other (and their exponents more than 100 apart), it is
+def add(s, t, prec, rnd=NEAREST):
+    """s + t, rounded once.  When one term lies more than prec + 4 bits
+    below the other and their exponents more than 100 apart, it is
     replaced by a sticky unit just below the precision."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    tsign ^= _sub
+    sman, sexp = s
+    tman, texp = t
     if sman and tman:
+        if sexp < texp:
+            sman, sexp, tman, texp = tman, texp, sman, sexp
         offset = sexp - texp
-        if offset:
-            if offset > 0:
-                if offset > 100 and prec:
-                    delta = sbc + sexp - tbc - texp
-                    if delta > prec + 4:
-                        offset = prec + 4
-                        sman <<= offset
-                        sman += 1 if tsign == ssign else -1
-                        return normalize1(ssign, sman, sexp - offset,
-                                          sman.bit_length(), prec, rnd)
-                if ssign == tsign:
-                    man = tman + (sman << offset)
-                else:
-                    man = tman - (sman << offset) if ssign else (sman << offset) - tman
-                    ssign = 0
-                    if man < 0:
-                        man, ssign = -man, 1
-                bc = man.bit_length()
-                return normalize1(ssign, man, texp, bc, prec or bc, rnd)
-            if offset < -100 and prec:
-                delta = tbc + texp - sbc - sexp
-                if delta > prec + 4:
-                    offset = prec + 4
-                    tman <<= offset
-                    tman += 1 if ssign == tsign else -1
-                    return normalize1(tsign, tman, texp - offset,
-                                      tman.bit_length(), prec, rnd)
-            if ssign == tsign:
-                man = sman + (tman << -offset)
-            else:
-                man = sman - (tman << -offset) if tsign else (tman << -offset) - sman
-                ssign = 0
-                if man < 0:
-                    man, ssign = -man, 1
-            bc = man.bit_length()
-            return normalize1(ssign, man, sexp, bc, prec or bc, rnd)
-        if ssign == tsign:
-            man = tman + sman
-        else:
-            man = tman - sman if ssign else sman - tman
-            ssign = 0
-            if man < 0:
-                man, ssign = -man, 1
-        bc = man.bit_length()
-        return normalize(ssign, man, texp, bc, prec or bc, rnd)
-    _finite(s, t)
-    if tman:
-        return normalize1(tsign, tman, texp, tbc, prec or tbc, rnd)
-    if sman:
-        return normalize1(ssign, sman, sexp, sbc, prec or sbc, rnd)
-    return ZERO
+        if offset > 100 and sman.bit_length() + offset - tman.bit_length() > prec + 4:
+            return _round((sman << prec + 4) + (1 if tman > 0 else -1), sexp - prec - 4,
+                          prec, rnd)
+        return _round((sman << offset) + tman, texp, prec, rnd)
+    _no_inf(s, t)
+    return _round(sman, sexp, prec, rnd) if sman else _round(tman, texp, prec, rnd)
 
 
-def mpf_sub(s, t, prec=0, rnd=DOWN):
-    return mpf_add(s, t, prec, rnd, 1)
-
-
-def mpf_mul(s, t, prec=0, rnd=DOWN):
-    """s * t: the exact product, rounded when prec is given."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    man = sman * tman
+def mul(s, t, prec, rnd=NEAREST):
+    """s * t: the exact product, rounded once."""
+    man = s[0] * t[0]
     if man:
-        bc = sbc + tbc - 1
-        bc += man >> bc
-        if prec:
-            return normalize1(ssign ^ tsign, man, sexp + texp, bc, prec, rnd)
-        return ssign ^ tsign, man, sexp + texp, bc
-    _finite(s, t)
+        return _round(man, s[1] + t[1], prec, rnd)
+    _no_inf(s, t)
     return ZERO
 
 
-def mpf_mul_int(s, n, prec, rnd=DOWN):
-    sign, man, exp, bc = s
-    _finite(s)
-    if not man or not n:
-        return ZERO
-    if n < 0:
-        sign ^= 1
-        n = -n
-    man *= n
-    bc += n.bit_length() - 1
-    bc += man >> bc
-    return normalize(sign, man, exp, bc, prec, rnd)
-
-
-def mpf_div(s, t, prec, rnd=DOWN):
+def div(s, t, prec, rnd=NEAREST):
     """s / t: a quotient with at least 5 bits past prec and a sticky bit
     for a non-zero remainder, rounded once."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    _finite(s, t)
-    if not tman:
-        raise ZeroDivisionError
-    if not sman:
+    sman, sexp = s
+    tman, texp = t
+    if not sman or not tman:
+        _no_inf(s, t)
+        if not tman:
+            raise ZeroDivisionError
         return ZERO
-    sign = ssign ^ tsign
-    if tman == 1:
-        return normalize1(sign, sman, sexp - texp, sbc, prec, rnd)
-    extra = max(prec - sbc + tbc + 5, 5)
-    quot, rem = divmod(sman << extra, tman)
-    if rem:
-        quot = (quot << 1) + 1
-        extra += 1
-        return normalize1(sign, quot, sexp - texp - extra, quot.bit_length(), prec, rnd)
-    return normalize(sign, quot, sexp - texp - extra, quot.bit_length(), prec, rnd)
+    extra = max(prec - sman.bit_length() + tman.bit_length() + 5, 5)
+    quot, rem = divmod(abs(sman) << extra, abs(tman))
+    quot = quot << 1 | (rem != 0)
+    return _round(-quot if (sman < 0) != (tman < 0) else quot,
+                  sexp - texp - extra - 1, prec, rnd)
 
 
-def mpf_sqrt(s, prec, rnd=DOWN):
+def sqrt(s, prec, rnd=NEAREST):
     """Square root by the integer root of a widened mantissa, with a
-    sticky bit for a non-zero remainder (except toward zero)."""
-    sign, man, exp, bc = s
-    if sign:
+    sticky bit for a non-zero remainder, rounded once."""
+    man, exp = s
+    if man < 0:
         raise ValueError("square root of a negative number")
     if not man:
-        return s
+        _no_inf(s)
+        return ZERO
     if exp & 1:
         exp -= 1
         man <<= 1
-        bc += 1
-    elif man == 1:
-        return normalize1(sign, man, exp // 2, bc, prec, rnd)
-    shift = max(4, 2 * prec - bc + 4)
+    shift = max(4, 2 * prec - man.bit_length() + 4)
     shift += shift & 1
     man <<= shift
     root = math.isqrt(man)
-    if rnd != DOWN and man != root * root:
+    if man != root * root:
         root = (root << 1) + 1
         shift += 2
-    return from_man_exp(root, (exp - shift) // 2, prec, rnd)
+    return _round(root, (exp - shift) // 2, prec, rnd)
 
 
-def mpf_hypot(x, y, prec, rnd=DOWN):
+def hypot(x, y, prec, rnd=NEAREST):
     """sqrt(x^2 + y^2), the sum taken at prec + 4 bits toward zero."""
-    if y == ZERO:
-        return mpf_abs(x, prec, rnd)
-    if x == ZERO:
-        return mpf_abs(y, prec, rnd)
-    return mpf_sqrt(mpf_add(mpf_mul(x, x), mpf_mul(y, y), prec + 4), prec, rnd)
+    (xm, xe), (ym, ye) = x, y
+    if not xm or not ym:
+        _no_inf(x, y)
+        return _round(abs(xm or ym), xe if xm else ye, prec, rnd)
+    return sqrt(add((xm * xm, xe + xe), (ym * ym, ye + ye), prec + 4, DOWN), prec, rnd)
 
 
-def mpf_pow_int(s, n, prec, rnd=DOWN):
+def pow_int(s, n, prec, rnd=NEAREST):
     """s**n: exact below 1000 bits, otherwise binary powering truncated
     to prec + 4 * bits(n) + 4 bits in the rounding's direction."""
-    sign, man, exp, bc = s
-    _finite(s)
-    if n == 0:
-        return ONE
+    man, exp = s
+    if not man:
+        _no_inf(s)
     if n == 1:
-        return mpf_pos(s, prec, rnd)
+        return _round(man, exp, prec, rnd)
     if n == 2:
-        if not man:
-            return ZERO
-        man *= man
-        if man == 1:
-            return 0, 1, exp + exp, 1
-        bc = bc + bc - 2
-        bc += (man >> bc).bit_length()
-        return normalize1(0, man, exp + exp, bc, prec, rnd)
+        return _round(man * man, exp + exp, prec, rnd)
     if n == -1:
-        return mpf_div(ONE, s, prec, rnd)
+        return div(ONE, s, prec, rnd)
     if n < 0:
-        inverse = mpf_pow_int(s, -n, prec + 5, _RECIPROCAL[rnd])
-        return mpf_div(ONE, inverse, prec, rnd)
-    result_sign = sign & n
-    if man == 1:
-        return result_sign, 1, exp * n, 1
-    if bc * n < 1000:
-        man **= n
-        return normalize1(result_sign, man, exp * n, man.bit_length(), prec, rnd)
-    rounds_down = rnd != UP
-    workprec = prec + 4 * n.bit_length() + 4
-    pm, pe, pbc = 1, 0, 1
-    while True:
-        if n & 1:
-            pm *= man
-            pe += exp
-            pbc += bc - 2
-            pbc += (pm >> pbc).bit_length()
-            if pbc > workprec:
-                pm = pm >> (pbc - workprec) if rounds_down else -(-pm >> (pbc - workprec))
-                pe += pbc - workprec
-                pbc = workprec
-            n -= 1
-            if not n:
-                break
-        man *= man
-        exp += exp
-        bc = bc + bc - 2
-        bc += (man >> bc).bit_length()
-        if bc > workprec:
-            man = man >> (bc - workprec) if rounds_down else -(-man >> (bc - workprec))
-            exp += bc - workprec
-            bc = workprec
-        n //= 2
-    return normalize(result_sign, pm, pe, pbc, prec, rnd)
+        return div(ONE, pow_int(s, -n, prec + 5, _RECIPROCAL[rnd]), prec, rnd)
+    if man.bit_length() * n < 1000:
+        return _round(man**n, exp * n, prec, rnd)
+    pm, _, pe = _gauss_pow(abs(man), 0, exp, n, prec + 4 * n.bit_length() + 4, rnd == UP)
+    return _round(-pm if man < 0 and n & 1 else pm, pe, prec, rnd)
 
 
-def mpf_pow_frac(x, y, prec, rnd=DOWN):
+def pow_frac(x, y, prec, rnd=NEAREST):
     """x**y for x >= 0 and 0 < y < 1.
 
     y = Y * 2^-k for an integer Y, so x**y is the product of x^(2^-j) over
@@ -371,17 +205,17 @@ def mpf_pow_frac(x, y, prec, rnd=DOWN):
     a truncated root inherits half its input's error, so the product is
     within k * 2^(3-wp) < 2^-(prec+69) relative below x**y, and one
     rounding (with a sticky bit for the truncated tail) ends it."""
-    sign, man, exp, bc = x
-    ysign, yman, yexp, ybc = y
-    if sign or ysign or yexp >= 0 or yman >> -yexp:
-        raise ValueError("mpf_pow_frac needs x >= 0 and 0 < y < 1")
-    _finite(x)
+    man, exp = x
+    yman, yexp = y
+    if man < 0 or yman <= 0 or yexp >= 0 or yman >> -yexp:
+        raise ValueError("pow_frac needs x >= 0 and 0 < y < 1")
     if not man:
+        _no_inf(x)
         return ZERO
     steps = -yexp
     wp = prec + 72 + steps.bit_length()
     wp += wp & 1
-    shift = wp - bc
+    shift = wp - man.bit_length()
     m, e = (man << shift if shift >= 0 else man >> -shift), exp - shift
     acc = None
     for j in range(steps - 1, -1, -1):
@@ -398,135 +232,94 @@ def mpf_pow_frac(x, y, prec, rnd=DOWN):
                 cut = acc.bit_length() - wp
                 acc >>= cut
                 acc_e += e + cut
-    acc = acc << 1 | 1
-    return normalize(0, acc, acc_e - 1, acc.bit_length(), prec, rnd)
+    return _round(acc << 1 | 1, acc_e - 1, prec, rnd)
 
 
-def mpf_pow(s, t, prec, rnd=DOWN):
-    """s**t: integer powers and square roots by their own algorithms,
-    other exponents (in (0, 1)) by mpf_pow_frac."""
-    tsign, tman, texp, tbc = t
-    if texp >= 0:
-        return mpf_pow_int(s, -(tman << texp) if tsign else tman << texp, prec, rnd)
-    if texp == -1 and tman == 1 and not tsign:
-        return mpf_sqrt(s, prec, rnd)
-    if s == ONE:  # exp(t log 1) is exact
-        return ONE
-    return mpf_pow_frac(s, t, prec, rnd)
-
-
-def mpf_cmp(s, t):
-    """-1, 0 or 1 as s <, = or > t."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not sman or not tman:
-        if s == t:
-            return 0
-        if s == ZERO:
-            return 1 if tsign else -1
-        if t == ZERO:
-            return -1 if ssign else 1
-        return 1 if s == INF else -1
-    if ssign != tsign:
-        return -1 if ssign else 1
-    if sexp == texp:
-        if sman == tman:
-            return 0
-        return -1 if (sman > tman) == bool(ssign) else 1
-    a = sbc + sexp
-    b = tbc + texp
-    if a != b:
-        return -1 if (a < b) != bool(ssign) else 1
-    return -1 if mpf_sub(s, t, 5)[0] else 1
+def cmp(s, t):
+    """-1, 0 or 1 as s <, = or > t: the sign of s - t, which rounding
+    keeps."""
+    if INF in (s, t):
+        return (s == INF) - (t == INF)
+    man = add(s, (-t[0], t[1]), 2)[0]
+    return (man > 0) - (man < 0)
 
 
 # -- raw complex numbers --------------------------------------------------------
 
 
-def mpc_mul(z, w, prec, rnd=DOWN):
+def cmul(z, w, prec, rnd=NEAREST):
     """Four exact products, then a rounded difference and sum."""
-    a, b = z
-    c, d = w
-    return (mpf_sub(mpf_mul(a, c), mpf_mul(b, d), prec, rnd),
-            mpf_add(mpf_mul(a, d), mpf_mul(b, c), prec, rnd))
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    return (add((am * cm, ae + ce), (-bm * dm, be + de), prec, rnd),
+            add((am * dm, ae + de), (bm * cm, be + ce), prec, rnd))
 
 
-def mpc_square(z, prec, rnd=DOWN):
-    a, b = z
-    re = mpf_sub(mpf_mul(a, a), mpf_mul(b, b), prec, rnd)
-    sign, man, exp, bc = mpf_mul(a, b, prec, rnd)
-    return re, ((sign, man, exp + 1, bc) if man else ZERO)
-
-
-def mpc_div(z, w, prec, rnd=DOWN):
+def cdiv(z, w, prec, rnd=NEAREST):
     """The numerators and |w|^2 at prec + 10 bits toward zero, then two
     rounded quotients."""
-    a, b = z
-    c, d = w
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
     wp = prec + 10
-    mag = mpf_add(mpf_mul(c, c), mpf_mul(d, d), wp)
-    t = mpf_add(mpf_mul(a, c), mpf_mul(b, d), wp)
-    u = mpf_sub(mpf_mul(b, c), mpf_mul(a, d), wp)
-    return mpf_div(t, mag, prec, rnd), mpf_div(u, mag, prec, rnd)
+    mag = add((cm * cm, ce + ce), (dm * dm, de + de), wp, DOWN)
+    t = add((am * cm, ae + ce), (bm * dm, be + de), wp, DOWN)
+    u = add((bm * cm, be + ce), (-am * dm, ae + de), wp, DOWN)
+    return div(t, mag, prec, rnd), div(u, mag, prec, rnd)
 
 
-def _gauss_pow(a, b, e, n, cut):
+def _gauss_pow(a, b, e, n, cut=None, up=False):
     """((a + bi) * 2^e)^n for n >= 1 by squaring, as (re, im, exp) worth
-    (re + im i) * 2^exp; exact, or with every product floored to ``cut``
-    bits when cut is given."""
+    (re + im i) * 2^exp; exact, or with every product cut to ``cut`` bits,
+    floored (ceiled when ``up``)."""
+    def trim(x, y, e):
+        drop = max(x.bit_length(), y.bit_length()) - cut
+        if drop <= 0:
+            return x, y, e
+        if up:
+            return -(-x >> drop), -(-y >> drop), e + drop
+        return x >> drop, y >> drop, e + drop
+
     re, im, exp = 1, 0, 0
     while True:
         if n & 1:
-            re, im = re * a - im * b, im * a + re * b
-            exp += e
+            re, im, exp = re * a - im * b, im * a + re * b, exp + e
             if cut:
-                drop = max(abs(re).bit_length(), abs(im).bit_length()) - cut
-                if drop > 0:
-                    re, im, exp = re >> drop, im >> drop, exp + drop
+                re, im, exp = trim(re, im, exp)
         n >>= 1
         if not n:
             return re, im, exp
-        a, b = a * a - b * b, 2 * a * b
-        e += e
+        a, b, e = a * a - b * b, 2 * a * b, e + e
         if cut:
-            drop = max(abs(a).bit_length(), abs(b).bit_length()) - cut
-            if drop > 0:
-                a, b, e = a >> drop, b >> drop, e + drop
+            a, b, e = trim(a, b, e)
 
 
-def mpc_pow_int(z, n, prec, rnd=DOWN):
+def cpow_int(z, n, prec, rnd=NEAREST):
     """z**n for n >= 0: the Gaussian-integer power of the mantissas rounded
     once; exact up to a 10,000-bit power, past it with every
     product truncated to prec + 4 * bits(n) + 4 bits."""
     a, b = z
     if b == ZERO:
-        return mpf_pow_int(a, n, prec, rnd), ZERO
+        return pow_int(a, n, prec, rnd), ZERO
     if a == ZERO:
-        v = mpf_pow_int(b, n, prec, rnd)
-        return ((v, ZERO), (ZERO, v), (mpf_neg(v), ZERO), (ZERO, mpf_neg(v)))[n % 4]
-    if n == 0:
-        return ONE, ZERO
+        v = pow_int(b, n, prec, rnd)
+        neg = (-v[0], v[1])
+        return ((v, ZERO), (ZERO, v), (neg, ZERO), (ZERO, neg))[n % 4]
     if n == 1:
-        return mpf_pos(a, prec, rnd), mpf_pos(b, prec, rnd)
+        return _round(*a, prec, rnd), _round(*b, prec, rnd)
     if n == 2:
-        return mpc_square(z, prec, rnd)
+        return cmul(z, z, prec, rnd)
     if n < 0:
         raise ValueError("negative powers are not supported")
-    asign, aman, aexp, abc = a
-    bsign, bman, bexp, bbc = b
-    if asign:
-        aman = -aman
-    if bsign:
-        bman = -bman
-    de = aexp - bexp
-    exact = n * (abs(de) + max(abc, bbc)) < 10000
-    if de > 0:
-        aman <<= de
+    (am, ae), (bm, be) = z
+    shift = ae - be
+    exact = n * (abs(shift) + max(am.bit_length(), bm.bit_length())) < 10000
+    if shift > 0:
+        am <<= shift
     else:
-        bman <<= -de
-    re, im, exp = _gauss_pow(aman, bman, min(aexp, bexp), n,
+        bm <<= -shift
+    re, im, exp = _gauss_pow(am, bm, min(ae, be), n,
                              None if exact else prec + 4 * n.bit_length() + 4)
-    return from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)
+    return _round(re, exp, prec, rnd), _round(im, exp, prec, rnd)
 
 
 # -- decimal strings ----------------------------------------------------------
@@ -537,27 +330,24 @@ def _ln_const(fixed, prec):
     wp = prec + 20
     if wp > 160:
         raise ValueError("exponent too large to print")
-    v = fixed >> (160 - wp)
-    return normalize(0, v, -wp, v.bit_length(), prec, DOWN)
+    return _round(fixed >> (160 - wp), -wp, prec, DOWN)
 
 
 def _to_digits_exp(s, dps):
     """(sign, digits, exponent) of s, the digits (about dps of them)
     taken toward zero."""
-    sign = ""
-    if s[0]:
-        sign = "-"
-        s = mpf_neg(s)
+    man, exp = s
+    sign = "-" if man < 0 else ""
+    man = abs(man)
     bitprec = int(dps * math.log(10, 2)) + 10
     exponent = 0
-    _, man, exp, bc = s
-    if abs(exp + bc) > 3500:
-        expprec = abs(exp).bit_length() + 5
-        tmp = mpf_mul(from_int(exp), _ln_const(_LN2, expprec))
-        exponent = to_int(mpf_div(tmp, _ln_const(_LN10, expprec), expprec))
-        s = mpf_div(s, mpf_pow_int(TEN, exponent, bitprec), bitprec)
-        _, man, exp, bc = s
-    fixprec = max(bitprec - exp - bc, 0)
+    if abs(exp + man.bit_length()) > 3500:
+        expprec = exp.bit_length() + 5
+        ln2 = _ln_const(_LN2, expprec)
+        tmp = (exp * ln2[0], ln2[1])
+        exponent = to_int(div(tmp, _ln_const(_LN10, expprec), expprec, DOWN))
+        man, exp = div((man, exp), pow_int(TEN, exponent, bitprec, DOWN), bitprec, DOWN)
+    fixprec = max(bitprec - exp - man.bit_length(), 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)
     offset = exp + fixprec
     fixed = man << offset if offset >= 0 else man >> -offset
@@ -569,7 +359,7 @@ def to_str(s, dps):
     """s in dps significant digits: dps + 3 digits toward zero, rounded on the
     next one; fixed point when the leading digit sits at a power of ten
     strictly between min(-dps/3, -5) and dps, else scientific."""
-    if not s[1]:
+    if not s[0]:
         return "+inf" if s == INF else "0.0"
     sign, digits, exponent = _to_digits_exp(s, dps + 3)
     if len(digits) > dps and digits[dps] in "56789":
@@ -604,43 +394,54 @@ def _operand(x):
     kind = type(x)
     if kind is Real:
         return x.raw
-    if kind is int:
-        return from_int(x)
+    if kind is int:  # canonical, as add's shortcut reads the exponent
+        return (x, 0) if x & 1 else _round(x, 0, x.bit_length() or 1)
     if kind is float:
         return from_float(x)
     return None
 
 
-def _real_op(f):
-    """The Real operator for f(raw, raw, prec, rnd)."""
+def _real_op(f, negate=False):
+    """The Real operator for f(raw, raw, prec), on -other when negate."""
     def op(self, other):
         t = _operand(other)
         if t is None:
             return NotImplemented
-        return Real(f(self.raw, t, self.prec, NEAREST), self.prec)
+        if negate:
+            t = -t[0], t[1]
+        return Real(f(self.raw, t, self.prec), self.prec)
     return op
 
 
 def _real_cmp(test):
-    def cmp(self, other):
+    def cmp_op(self, other):
         t = _operand(other)
-        return NotImplemented if t is None else test(mpf_cmp(self.raw, t), 0)
-    return cmp
+        return NotImplemented if t is None else test(cmp(self.raw, t), 0)
+    return cmp_op
 
 
-def _complex_add(f):
-    """The Complex operator for f = mpf_add or mpf_sub, part by part; a
+def _complex_operand(x):
+    """The raw value of a Complex, Real, int or float operand, else None."""
+    if type(x) is Complex:
+        return x.raw
+    t = _operand(x)
+    return None if t is None else (t, ZERO)
+
+
+def _complex_add(negate):
+    """The Complex operator for + or (when negate) -, part by part; a
     real operand meets the real part alone."""
     def op(self, other):
-        prec = self.prec
-        a, b = self.raw
+        (a, b), prec = self.raw, self.prec
         if type(other) is Complex:
-            c, d = other.raw
-            return Complex((f(a, c, prec, NEAREST), f(b, d, prec, NEAREST)), prec)
+            (cm, ce), (dm, de) = other.raw
+            if negate:
+                cm, dm = -cm, -dm
+            return Complex((add(a, (cm, ce), prec), add(b, (dm, de), prec)), prec)
         t = _operand(other)
         if t is None:
             return NotImplemented
-        return Complex((f(a, t, prec, NEAREST), b), prec)
+        return Complex((add(a, (-t[0], t[1]) if negate else t, prec), b), prec)
     return op
 
 
@@ -656,45 +457,53 @@ class Real:
     @classmethod
     def of(cls, x, prec):
         """An int or a float rounded to prec bits."""
-        return cls(mpf_pos(_operand(x), prec, NEAREST), prec)
+        return cls(_round(*_operand(x), prec), prec)
 
-    __add__ = __radd__ = _real_op(mpf_add)
-    __sub__ = _real_op(mpf_sub)
-    __truediv__ = _real_op(mpf_div)
+    __add__ = __radd__ = _real_op(add)
+    __sub__ = _real_op(add, negate=True)
+    __mul__ = __rmul__ = _real_op(mul)
+    __truediv__ = _real_op(div)
     __lt__ = _real_cmp(operator.lt)
     __le__ = _real_cmp(operator.le)
     __gt__ = _real_cmp(operator.gt)
     __ge__ = _real_cmp(operator.ge)
 
-    def __mul__(self, other):
-        if type(other) is int:
-            return Real(mpf_mul_int(self.raw, other, self.prec, NEAREST), self.prec)
-        t = _operand(other)
-        if t is None:
-            return NotImplemented
-        return Real(mpf_mul(self.raw, t, self.prec, NEAREST), self.prec)
-
-    __rmul__ = __mul__
-
     def __pow__(self, other):
+        """Integer powers and square roots by their own algorithms, other
+        exponents (in (0, 1)) by pow_frac."""
+        s, prec = self.raw, self.prec
         if type(other) is int:
-            return Real(mpf_pow_int(self.raw, other, self.prec, NEAREST), self.prec)
-        if type(other) is Real:
-            return Real(mpf_pow(self.raw, other.raw, self.prec, NEAREST), self.prec)
-        return NotImplemented
+            return Real(pow_int(s, other, prec), prec)
+        if type(other) is not Real:
+            return NotImplemented
+        tman, texp = t = other.raw
+        if texp >= 0:
+            return Real(pow_int(s, tman << texp, prec), prec)
+        if t == (1, -1):
+            return Real(sqrt(s, prec), prec)
+        # 1**t is exact; pow_frac would take a square root per bit of t
+        return Real(ONE if s == ONE else pow_frac(s, t, prec), prec)
 
     def __abs__(self):
-        return Real(mpf_abs(self.raw, self.prec, NEAREST), self.prec)
+        man, exp = self.raw
+        return Real(_round(abs(man), exp, self.prec), self.prec)
 
     def sqrt(self):
-        return Real(mpf_sqrt(self.raw, self.prec, NEAREST), self.prec)
+        return Real(sqrt(self.raw, self.prec), self.prec)
 
     def __eq__(self, other):
         t = _operand(other)
         return NotImplemented if t is None else self.raw == t
 
     def __hash__(self):
-        return hash(self.raw)
+        # int, float and Fraction hash a value m * 2^e alike: m * 2^e
+        # modulo a prime
+        man, exp = self.raw
+        if exp is None:
+            return hash(math.inf)
+        h = abs(man) % _HASH * pow(2, exp, _HASH) % _HASH
+        h = -h if man < 0 else h
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return self.raw != ZERO
@@ -722,12 +531,8 @@ class Complex:
     def of(cls, z, prec):
         """A Python complex, int, float or Real rounded part by part to
         prec bits."""
-        if type(z) is Real:
-            parts = z.raw, ZERO
-        else:
-            z = complex(z)
-            parts = from_float(z.real), from_float(z.imag)
-        return cls((mpf_pos(parts[0], prec, NEAREST), mpf_pos(parts[1], prec, NEAREST)), prec)
+        parts = _complex_operand(z) or (from_float(z.real), from_float(z.imag))
+        return cls(tuple(_round(*p, prec) for p in parts), prec)
 
     @property
     def real(self):
@@ -737,55 +542,47 @@ class Complex:
     def imag(self):
         return Real(self.raw[1], self.prec)
 
-    __add__ = __radd__ = _complex_add(mpf_add)
-    __sub__ = _complex_add(mpf_sub)
+    __add__ = __radd__ = _complex_add(False)
+    __sub__ = _complex_add(True)
 
     def __mul__(self, other):
-        prec = self.prec
-        if type(other) is Complex:
-            return Complex(mpc_mul(self.raw, other.raw, prec, NEAREST), prec)
-        a, b = self.raw
-        if type(other) is int:
-            return Complex((mpf_mul_int(a, other, prec, NEAREST),
-                            mpf_mul_int(b, other, prec, NEAREST)), prec)
-        t = _operand(other)
-        if t is None:
+        w = _complex_operand(other)
+        if w is None:
             return NotImplemented
-        return Complex((mpf_mul(a, t, prec, NEAREST), mpf_mul(b, t, prec, NEAREST)), prec)
+        return Complex(cmul(self.raw, w, self.prec), self.prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         prec = self.prec
         if type(other) is Complex:
-            return Complex(mpc_div(self.raw, other.raw, prec, NEAREST), prec)
+            return Complex(cdiv(self.raw, other.raw, prec), prec)
         t = _operand(other)
         if t is None:
             return NotImplemented
         a, b = self.raw
-        return Complex((mpf_div(a, t, prec, NEAREST), mpf_div(b, t, prec, NEAREST)), prec)
+        return Complex((div(a, t, prec), div(b, t, prec)), prec)
 
     def __pow__(self, n):
         if type(n) is not int:
             return NotImplemented
-        return Complex(mpc_pow_int(self.raw, n, self.prec, NEAREST), self.prec)
+        return Complex(cpow_int(self.raw, n, self.prec), self.prec)
 
     def __abs__(self):
-        a, b = self.raw
-        return Real(mpf_hypot(a, b, self.prec, NEAREST), self.prec)
+        return Real(hypot(*self.raw, self.prec), self.prec)
 
     def conjugate(self):
-        a, b = self.raw
-        return Complex((a, mpf_neg(b, self.prec, NEAREST)), self.prec)
+        a, (bm, be) = self.raw
+        return Complex((a, _round(-bm, be, self.prec)), self.prec)
 
     def __eq__(self, other):
-        if type(other) is Complex:
-            return self.raw == other.raw
-        t = _operand(other)
-        return NotImplemented if t is None else self.raw == (t, ZERO)
+        w = _complex_operand(other)
+        return NotImplemented if w is None else self.raw == w
 
     def __hash__(self):
-        return hash(self.raw)
+        # equal to no int, float or Real unless the imaginary part is 0
+        a, b = self.raw
+        return hash(self.real) if b == ZERO else hash(self.raw)
 
     def __bool__(self):
         return self.raw != (ZERO, ZERO)

@@ -208,6 +208,8 @@ def _cmd_signs(args):
     from .signs import detect_period, sign_word
     from .sums import sk_fast
 
+    if args.k < 0:  # before sk_fast, whose message would name -K
+        raise SpecError("k must be non-negative")
     spec = _spec(args.A, args.N)
     grid = sk_fast(spec, args.k, args.N)
     word = sign_word(grid, args.k, normalized=args.normalized)

@@ -9,7 +9,7 @@ meaningful.
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 
 
 def compositions_of(parts, n):
@@ -268,9 +268,92 @@ def unity_screen_reference(zeta, orders):
     return best, best_at
 
 
+def pair_of(raw):
+    """An mpmath.libmp raw real (sign, man, exp, bc) as the canonical
+    bigfloat pair (man, exp) of the same value: man odd, or (0, 0), or
+    (0, None) for +inf."""
+    from mpmath import libmp
+
+    if raw == libmp.finf:
+        return 0, None
+    sign, man, exp, _ = raw
+    if not man:
+        return 0, 0
+    zeros = (man & -man).bit_length() - 1
+    return (-1) ** sign * (man >> zeros), exp + zeros
+
+
+def libmp_raw(pair):
+    """A bigfloat pair (man, exp) as the mpmath.libmp raw real with the
+    same mantissa and exponent, even mantissas kept as they are."""
+    from mpmath import libmp
+
+    man, exp = pair
+    if exp is None:
+        return libmp.finf
+    return (int(man < 0), abs(man), exp if man else 0, abs(man).bit_length())
+
+
 def as_mpmath(x):
-    """A bigfloat Real or Complex as the mpmath number with the same raw
-    value, rounded nowhere (a complex's raw value is a pair of tuples)."""
+    """A bigfloat Real or Complex as the mpmath number of the same value,
+    rounded nowhere (a complex's raw value is a pair of pairs)."""
     import mpmath as mp
 
-    return mp.make_mpc(x.raw) if isinstance(x.raw[0], tuple) else mp.make_mpf(x.raw)
+    if isinstance(x.raw[0], tuple):
+        return mp.make_mpc(tuple(libmp_raw(p) for p in x.raw))
+    return mp.make_mpf(libmp_raw(x.raw))
+
+
+def _pow2(e):
+    return Fraction(2) ** e
+
+
+def round_fraction(x, prec, rnd):
+    """The rational x rounded to prec significant bits: to nearest with
+    ties to even ("n"), toward zero ("d") or away from zero ("u"), found
+    by scaling |x| into [2^(prec-1), 2^prec) and rounding its integer part."""
+    if not x:
+        return Fraction(0)
+    mag = abs(x)
+    e = mag.numerator.bit_length() - mag.denominator.bit_length() - prec
+    while mag / _pow2(e) >= 2**prec:
+        e += 1
+    while mag / _pow2(e) < 2 ** (prec - 1):
+        e -= 1
+    scaled = mag / _pow2(e)
+    low = scaled.numerator // scaled.denominator
+    rest = scaled - low
+    if rnd == "d":
+        up = False
+    elif rnd == "u":
+        up = rest > 0
+    else:
+        up = rest > Fraction(1, 2) or (rest == Fraction(1, 2) and low % 2 == 1)
+    return (low + up) * _pow2(e) * (1 if x > 0 else -1)
+
+
+def round_sqrt(x, prec, rnd):
+    """sqrt(x) for a rational x >= 0, rounded as round_fraction rounds,
+    bracketed by integer squares: with y = x * 4^k and r = isqrt(floor(y)),
+    r <= sqrt(y) < r + 1, exact when r^2 = y, and past the midpoint when
+    y > (r + 1/2)^2; k is chosen so that r has exactly prec bits."""
+    if not x:
+        return Fraction(0)
+    k = prec - (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    while True:
+        y = x * Fraction(4) ** k
+        r = isqrt(y.numerator // y.denominator)
+        if r.bit_length() > prec:
+            k -= 1
+        elif r.bit_length() < prec:
+            k += 1
+        else:
+            break
+    mid = Fraction(2 * r + 1, 2) ** 2
+    if rnd == "d":
+        up = False
+    elif rnd == "u":
+        up = r * r != y
+    else:
+        up = y > mid or (y == mid and r % 2 == 1)
+    return (r + up) / _pow2(k)

@@ -13,6 +13,7 @@ from oracles import (
     as_mpmath,
     cyclotomic_by_division,
     cyclotomic_divides_by_division,
+    pair_of,
     totient_candidates_by_sieve,
     unity_screen_reference,
 )
@@ -331,7 +332,7 @@ def test_unity_screen_matches_oracle_loop(precision, screen_cases):
     # the screen shortlists orders by angle before taking powers; it must
     # report what taking every power reports, noise digits included
     for orders, r in screen_cases:
-        root = Complex(r._mpc_, precision)
+        root = Complex(tuple(pair_of(part) for part in r._mpc_), precision)
         zeta = root.conjugate() / abs(root)
         assert nonperiodic._unity_screen(zeta, orders) == \
             unity_screen_reference(zeta, orders), r
