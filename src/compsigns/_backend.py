@@ -139,17 +139,31 @@ def series_inv_int(coeffs: list, order: int) -> list:
 def first_violation(members: list, horizon: int) -> int:
     """Smallest n <= horizon where (-1)^n * S_0(n) < 0, or -1 if none.
 
-    S_0 is the k = 0 row of sk_rows, computed incrementally with early exit:
-    with s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at even n and
+    (-1)^n * S_0(n) is coefficient n of 1/q, q = 1 + sum_a (-x)^a.  If the
+    least part d is even, q = 1 + x^d + ..., so 1/q first goes negative at
+    n = d.  If d is odd and, walking the other parts upward with one balance
+    per class mod d (+1 for an odd part, -1 for an even one), no balance
+    goes negative, no n has a violation.  Proof: coefficient m >= 1 of
+    q/(1 - x^d) is the class-(m mod d) sum of q's coefficients up to m, in
+    which q_0 = 1 cancels q_d = -1: minus that class's balance.  So
+    q/(1 - x^d) = 1 - C with C >= 0, and 1/q = sum_j x^(dj) sum_i C^i >= 0.
+
+    Else S_0 is the k = 0 row of sk_rows, computed with early exit: with
+    s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at even n and
     s < 0 at odd n.  The last max(A) values slide through a window read by
-    one fixed itemgetter, padded with zeros at the start (S_0 is 0 below 0).
+    one fixed itemgetter (A has two or more parts here, so it returns a
+    tuple), padded with zeros at the start (S_0 is 0 below 0).
     """
-    if len(members) < 2:
-        # one index makes itemgetter return a bare item, so decide these in
-        # closed form: S_0 of {a} is (-1)^(n/a) at the multiples of a, which
-        # is first wrong at n = a for even a; like {1}, the empty set never is
-        a = members[0] if members else 1
-        return a if a % 2 == 0 and a <= horizon else -1
+    d = members[0] if members else 1
+    if d % 2 == 0:
+        return d if d <= horizon else -1
+    balance = [0] * d
+    for a in members[1:]:
+        balance[a % d] += 1 if a % 2 else -1
+        if balance[a % d] < 0:
+            break
+    else:
+        return -1
     top = members[-1]
     window = deque([0] * (top - 1) + [1], maxlen=top)  # window[top - a] = S_0(n - a)
     get = itemgetter(*[top - a for a in members])

@@ -79,7 +79,10 @@ class _Parser(argparse.ArgumentParser):
 def _spec(text: str, n: int) -> SetSpec:
     """Parse a set for a run up to n.  No query is limited by a horizon;
     the default one is widened to n because thm34 and thm36 print it
-    (``@H``), and an explicit @H suffix still wins."""
+    (``@H``), and an explicit @H suffix still wins.  A negative n, the -N
+    that every caller passes, is refused."""
+    if n < 0:
+        raise SpecError("N must be non-negative")
     return parse_spec(text, horizon=max(DEFAULT_HORIZON, n))
 
 
@@ -250,6 +253,8 @@ def _cmd_verify(args):
 
         if args.E is None:
             raise SpecError("verify --suite thm34 needs -E")
+        if args.N < 1:  # before the library, whose message names upto
+            raise SpecError("N must be >= 1")
         chk = verify_cofinite_even_complement(_spec(args.E, args.N), args.N)
         lines = [
             f"removed even set {chk.removed} n <= {chk.upto} k <= {chk.k_max}",
@@ -309,6 +314,8 @@ def _cmd_enumerate(args):
 
     if args.jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {args.jobs}")
+    if args.N < 0:  # before the library, whose message names n
+        raise SpecError("N must be non-negative")
     res = enumerate_F(args.N, args.horizon)
     return 0, [("enumerate.json", lambda write: enumeration_json(res, write, SCHEMA)),
                ("verdicts.csv", lambda write: verdicts_csv(res, write))]
@@ -331,6 +338,8 @@ def _cmd_construct(args):
 def _cmd_experiment(args):
     from .explorer import repunit_extension_experiment
 
+    if args.horizon < 0:  # before the library, whose message names n
+        raise SpecError("horizon must be non-negative")
     probe = repunit_extension_experiment(args.m, args.horizon)
     blob = {
         "schema": SCHEMA,

@@ -12,16 +12,12 @@ Four families live here:
 * enumerate_F: scan every subset of {1..N} for non-negativity of the
   normalized k = 0 word up to a horizon.  Row 0 decides membership:
   non-negativity there propagates to every k by the weighted-moment
-  identity, and k = 0 is itself one of the required rows.  The word of
-  A is the series 1/q with q = 1 + sum over a in A of (-x)^a.  Adding
-  an odd part b or removing an even part e turns q into q - x^b or
-  q - x^e, and 1/(q - h) = sum_j h^j / q^(j+1) keeps non-negative
-  coefficients up to the horizon, so a passing subset changed either
-  way passes without a scan.  Toggling a part x leaves the word below x
-  as it is, so a first violation below x carries over.  Visiting the
-  masks k ^ E, k ascending and E the even elements, decides every
-  subset a rule reads first.  The result keeps one datum per subset,
-  indexed by its bit mask: the first failing n, or None for a pass.
+  identity, and k = 0 is itself one of the required rows.  A subset is
+  decided in one of three ways (enumerate_F's docstring has the proofs):
+  a pass or carry rule reads a subset decided before it; else the kernel
+  proves it non-negative for every n from its parts alone; else the
+  kernel runs its word up to the horizon.  The result keeps one datum per
+  subset, indexed by its bit mask: the first failing n, or None for a pass.
 * union_relation_check and repunit_extension_experiment: the
   reciprocal-series relation for disjoint unions and the
   repunit-plus-base probe.
@@ -203,8 +199,10 @@ def enumerate_F(n: int, horizon: int) -> EnumerationResult:
     up to the horizon; the count is only a horizon-certified candidate
     for the true all-n quantity.
 
-    Two rules decide most subsets without running the kernel.  The word
-    of A is the series 1/q_A with q_A(x) = 1 + sum over a in A of (-x)^a.
+    Two rules decide most subsets without running the kernel, and the
+    kernel proves some of the rest for every n without running its word.
+    The word of A is the series 1/q_A with q_A(x) = 1 + sum over a in A
+    of (-x)^a.
 
     * Pass: if 1/q has non-negative coefficients up to the horizon and h
       has non-negative coefficients, so has 1/(q - h) =
@@ -215,6 +213,9 @@ def enumerate_F(n: int, horizon: int) -> EnumerationResult:
     * Carry: the coefficient of x^m in 1/q depends only on those of q up
       to x^m, so A and A with part x toggled have the same word below x.
       A first violation n0 < x of one is the first violation of the other.
+    * Proof: a set whose least part d is odd passes for every n when, its
+      other parts counted upward, no residue class mod d ever holds more
+      even parts than odd ones (``_backend.first_violation`` proves it).
 
     The scan visits key k = 0 .. 2^n - 1 as the mask k ^ E, E the bits of
     the even elements.  Clearing a set bit of a key either removes an odd

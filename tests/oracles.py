@@ -257,6 +257,19 @@ def first_violation_reference(members, horizon):
     return -1
 
 
+def q_over_one_minus_x_d(members):
+    """Coefficients 1 .. max(A) + d of q/(1 - x^d), where q = 1 + sum_a (-x)^a
+    and d = min(A), by multiplying q by 1 + x^d + x^2d + ... term by term.
+    Past max(A) each residue class mod d keeps its value, so these are all
+    the values the series takes at n >= 1."""
+    d, top = members[0], members[-1]
+    q = [1] + [0] * top
+    for a in members:
+        q[a] = (-1) ** a
+    geometric = [int(i % d == 0) for i in range(top + d + 1)]
+    return schoolbook_product(q, geometric)[1:top + d + 1]
+
+
 def unity_screen_reference(zeta, orders):
     """Least |zeta^n - 1| over the orders and the first order attaining it,
     computing zeta**n for every order at zeta's precision."""

@@ -650,21 +650,25 @@ def test_experiment(capsys):
 # one row per guard that command-line input reaches past the parser, with
 # its stderr: each exits 3 and prints nothing on stdout
 _REFUSED = [
-    ("counts -A {1,2} -N -1", "error: n must be non-negative"),
+    ("counts -A {1,2} -N -1", "error: N must be non-negative"),
+    ("polys -A {1,2} -N -1", "error: N must be non-negative"),
     ("sk -A {1,2} -K -1 -N 5", "error: K must be non-negative"),
     ("sk -A {1,2} -K 1 -N -5", "error: N must be non-negative"),
     ("signs -A {1,2} -k -1 -N 10", "error: k must be non-negative"),
     ("enumerate -N 23 --horizon 100", "error: n=23 exceeds the 2^22-subset budget"),
     ("enumerate -N 5 --horizon 10", "error: horizon 10 too short; need >= 20"),
-    ("enumerate -N -1 --horizon 10", "error: n must be >= 0"),
+    ("enumerate -N -1 --horizon 10", "error: N must be non-negative"),
     ("enumerate -N 5 --horizon 30 --jobs 0", "error: jobs must be >= 1, got 0"),
     ("signs -A {1,2} -k 0 -N 30 --detect 100,100",
      "error: word of length 31 too short for max_pre=100, max_t=100 "
      "(need max_pre + 2*max_t <= length)"),
     ("signs -A {1,2} -k 0 -N 30 --detect 1,0", "error: need max_pre >= 0 and max_t >= 1"),
     ("verify --suite prop33 -m 0", "error: m must be >= 1"),
-    ("verify --suite thm34 -E {2} -N 0", "error: upto must be >= 1"),
+    ("verify --suite thm34 -E {2} -N 0", "error: N must be >= 1"),
+    ("verify --suite union -A {1,3} -B {2,4} -N -1", "error: N must be non-negative"),
+    ("verify --suite section2 -A {1,2} -N -1", "error: N must be non-negative"),
     ("experiment --problem44 -m 5", "error: need even m > 3"),
+    ("experiment --problem44 -m 4 --horizon -5", "error: horizon must be non-negative"),
     ("nonperiodic -p 1,1", "error: need degree >= 2"),
     ("nonperiodic -p 2,1,1", "error: need constant term 1"),
     ("nonperiodic -A {2,3} --precision 52",

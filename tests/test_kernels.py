@@ -3,18 +3,21 @@
 Each kernel in compsigns._backend is compared with ground truth from
 tests/oracles.py: products with the schoolbook product, count tables
 with compositions counted per multiset of parts, S_k rows with the
-alternating moment sums of those counts, and series inverses by
-multiplying back to 1.
+alternating moment sums of those counts, series inverses by
+multiplying back to 1, and first_violation's test for all n by
+multiplying q by 1/(1 - x^d) term by term.
 """
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     alt_moment_sum,
     first_violation_reference,
+    q_over_one_minus_x_d,
     schoolbook_product,
     triangle_counts,
     triangle_counts_by_multiset,
@@ -94,6 +97,72 @@ def test_first_violation_matches_reference_on_every_small_set():
         for horizon in (1, 2, 3, top - 1, 4 * n, 4 * n + 1):
             assert (kernels.first_violation(members, horizon)
                     == first_violation_reference(members, horizon)), (members, horizon)
+
+
+class _WindowStarted(Exception):
+    pass
+
+
+def _window_started(*args, **kwargs):
+    raise _WindowStarted
+
+
+def _answer_from_parts(members, horizon=10**9):
+    """first_violation's answer when its tests on A alone give one, None
+    when it starts its window (patched here to raise): a -1 at a horizon
+    it could never scan to is a proof for every n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "deque", _window_started)
+        try:
+            return kernels.first_violation(members, horizon)
+        except _WindowStarted:
+            return None
+
+
+def test_all_n_proof_is_exactly_its_lemma_and_is_sound():
+    # every subset of {1..12}: first_violation proves a set for all n
+    # exactly when its least part d is odd and q/(1 - x^d) = 1 - C with
+    # C >= 0 (the empty set, 1/q = 1, too), and the plain recurrence finds
+    # no violation to n = 400 in any set it proves; an even d is the first
+    # violation, also found from A alone
+    proved = []
+    for mask in range(1 << 12):
+        members = [a for a in range(1, 13) if mask >> (a - 1) & 1]
+        want = not members or (members[0] % 2 == 1
+                               and max(q_over_one_minus_x_d(members)) <= 0)
+        got = _answer_from_parts(members)
+        assert (got == -1) == want, members
+        if members and members[0] % 2 == 0:  # 1/q = 1 - x^d + ...
+            assert got == members[0], members
+        if want:
+            proved.append(members)
+            assert first_violation_reference(members, 400) == -1, members
+    # the empty set, the six odd single parts, and 529 sets of two or more
+    assert len(proved) == 536
+    assert sum(len(members) >= 2 for members in proved) == 529
+
+
+def test_a_proved_set_needs_no_scan_to_any_horizon():
+    # {1,3,4}: the class of 0 mod 1 reads +1 at 3 and 0 at 4
+    assert _answer_from_parts([1, 3, 4], 10**7) == -1
+    assert _answer_from_parts([1, 3, 4, 6]) is None  # fails at n = 9
+
+
+@st.composite
+def _mostly_odd_set(draw):
+    # uniform subsets of {1..30} are proved about 1 time in 12; more odd
+    # than even parts raises that to about 1 in 3
+    odd = draw(st.sets(st.sampled_from(range(1, 31, 2)), min_size=1))
+    even = draw(st.sets(st.sampled_from(range(2, 31, 2)), max_size=len(odd)))
+    return odd | even
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(_mostly_odd_set(), st.sets(st.integers(1, 30))))
+def test_sets_proved_for_all_n_have_no_violation_to_600(members):
+    members = sorted(members)
+    assume(_answer_from_parts(members) == -1)
+    assert first_violation_reference(members, 600) == -1
 
 
 @st.composite
