@@ -1,8 +1,10 @@
 """The exact integer inner loops every count, sum and scan is built on.
 
 Everything here works on plain Python ints, so results are exact at any
-size.  ``BACKEND`` names these kernels for callers that report which ones
-ran, such as the probe of ``perfbench/run.py``.
+size.  The two table kernels, ``comp_poly_rows`` and ``sk_rows``, build
+level n by gathering the rows of its predecessors n - a, one per part a.
+``BACKEND`` names these kernels for callers that report which ones ran,
+such as the probe of ``perfbench/run.py``.
 
 ``members`` arguments are ascending lists of distinct positive integers
 (the part-set truncated at the table size).
@@ -11,8 +13,9 @@ ran, such as the probe of ``perfbench/run.py``.
 from __future__ import annotations
 
 from collections import deque
+from itertools import zip_longest
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 BACKEND = "python"
 
@@ -37,23 +40,15 @@ def comp_poly_rows(members: list, n_max: int) -> list:
     """Coefficient rows of the part-count polynomials.
 
     rows[n][i] counts the compositions of n into exactly i parts from the
-    set; rows[0] = [1] and rows[n] comes from shifting each rows[n-a] up by
-    one part.  Trailing zeros are stripped.
+    set: rows[0] = [1], and rows[n] is the column sums of the rows[n-a]
+    shifted up one part.  Sums of trimmed non-negative rows end non-zero,
+    so only a level no part reaches, a lone [0], needs trimming, to [].
     """
     rows = [[1]]
     for n in range(1, n_max + 1):
-        cur = [0] * (n + 1)
-        for a in members:
-            if a > n:
-                break
-            prev = rows[n - a]
-            for i in range(len(prev)):
-                c = prev[i]
-                if c:
-                    cur[i + 1] += c
-        while cur and not cur[-1]:
-            cur.pop()
-        rows.append(cur)
+        past = (rows[n - a] for a in members if a <= n)
+        row = [0, *map(sum, zip_longest(*past, fillvalue=0))]
+        rows.append(row if len(row) > 1 else [])
     return rows
 
 
@@ -99,24 +94,11 @@ def sk_rows(members: list, k_max: int, n_max: int) -> list:
     g = [[0] * (n_max + 1) for _ in range(k_max + 1)]
     g[0][0] = 1
     binom = [[comb(k, j) for j in range(k + 1)] for k in range(k_max + 1)]
-    h = [0] * (k_max + 1)  # h[j] = sum_a g[j][n-a] for the current n
     for n in range(1, n_max + 1):
-        for j in range(k_max + 1):
-            h[j] = 0
-        for a in members:
-            if a > n:
-                break
-            na = n - a
-            for j in range(k_max + 1):
-                h[j] += g[j][na]
-        for k in range(k_max + 1):
-            bk = binom[k]
-            acc = 0
-            for j in range(k + 1):
-                hj = h[j]
-                if hj:
-                    acc += bk[j] * hj
-            g[k][n] = -acc
+        past = [n - a for a in members if a <= n]
+        h = [sum(map(row.__getitem__, past)) for row in g]  # sum_a g[j][n-a]
+        for k, bk in enumerate(binom):
+            g[k][n] = -sum(map(mul, bk, h))
     return g
 
 

@@ -229,6 +229,10 @@ def _cmd_signs(args):
 
 
 def _cmd_verify(args):
+    # a check over no n would pass; refused before the library, whose
+    # messages name upto
+    if args.N < 1:
+        raise SpecError("N must be >= 1")
     suite = args.suite
     if suite == "section2":
         from .compositions import verify_identities
@@ -253,8 +257,6 @@ def _cmd_verify(args):
 
         if args.E is None:
             raise SpecError("verify --suite thm34 needs -E")
-        if args.N < 1:  # before the library, whose message names upto
-            raise SpecError("N must be >= 1")
         chk = verify_cofinite_even_complement(_spec(args.E, args.N), args.N)
         lines = [
             f"removed even set {chk.removed} n <= {chk.upto} k <= {chk.k_max}",
@@ -338,8 +340,10 @@ def _cmd_construct(args):
 def _cmd_experiment(args):
     from .explorer import repunit_extension_experiment
 
-    if args.horizon < 0:  # before the library, whose message names n
-        raise SpecError("horizon must be non-negative")
+    # a probe of no n would pass; refused before the library, whose
+    # message names n
+    if args.horizon < 1:
+        raise SpecError("horizon must be >= 1")
     probe = repunit_extension_experiment(args.m, args.horizon)
     blob = {
         "schema": SCHEMA,

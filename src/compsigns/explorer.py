@@ -30,7 +30,6 @@ recurrences, which no amount of scanning settles.
 from __future__ import annotations
 
 import itertools
-import json
 
 from . import Record
 from ._backend import eval_table, first_violation, series_inv_int
@@ -252,6 +251,8 @@ def enumeration_json(result: EnumerationResult, write, schema: str) -> None:
     """Write enumerate.json through ``write``, byte for byte what
     ``json.dumps(blob, indent=2, sort_keys=True) + "\\n"`` prints for the
     scan's blob, one block of 2^_CHUNK_BITS masks per call."""
+    import json
+
     header = {"count": result.count, "horizon": result.horizon, "n": result.n,
               "note": result.note, "schema": schema}
     write("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"

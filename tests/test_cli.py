@@ -308,9 +308,9 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
             print("new", argv[0], " ".join(sorted(set(sys.modules) - bare)))
 
         run("counts", "-A", "{1,2}", "-N", "5")
+        run("verify", "--suite", "union", "-A", "{1,3}", "-B", "{2,4}", "-N", "30")
         run("signs", "-A", "{2,3}", "-k", "0", "-N", "60", "--normalized",
             "--detect", "10,20")
-        run("verify", "--suite", "union", "-A", "{1,3}", "-B", "{2,4}", "-N", "30")
         run("enumerate", "-N", "8", "--horizon", "32", "--jobs", "2")
         assert "compsigns.nonperiodic" not in sys.modules
         import compsigns.nonperiodic
@@ -345,6 +345,9 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     assert "compsigns.explorer" not in new["counts"][0]
     assert "json" not in new["counts"][0]
     assert "compsigns.explorer" in new["verify"][0]
+    # verify runs before the JSON-printing signs --detect: explorer loads
+    # json only for the scan's enumerate.json
+    assert "json" not in new["verify"][0]
     # the lazily imported --out path still writes the file and its manifest
     csv = (out_dir / "counts.csv").read_bytes()
     assert csv == b"n,c_A(n)\n0,1\n1,1\n2,2\n3,3\n4,5\n5,8\n"
@@ -665,10 +668,16 @@ _REFUSED = [
     ("signs -A {1,2} -k 0 -N 30 --detect 1,0", "error: need max_pre >= 0 and max_t >= 1"),
     ("verify --suite prop33 -m 0", "error: m must be >= 1"),
     ("verify --suite thm34 -E {2} -N 0", "error: N must be >= 1"),
-    ("verify --suite union -A {1,3} -B {2,4} -N -1", "error: N must be non-negative"),
-    ("verify --suite section2 -A {1,2} -N -1", "error: N must be non-negative"),
+    ("verify --suite union -A {1,3} -B {2,4} -N -1", "error: N must be >= 1"),
+    ("verify --suite section2 -A {1,2} -N -1", "error: N must be >= 1"),
+    # an empty range of n would pass every check in it
+    ("verify --suite thm36 -B {1,3} -N 0", "error: N must be >= 1"),
+    ("verify --suite prop33 -m 4 -N 0", "error: N must be >= 1"),
+    ("verify --suite union -A {1,3} -B {2,4} -N 0", "error: N must be >= 1"),
+    ("verify --suite section2 -A {1,2} -N 0", "error: N must be >= 1"),
     ("experiment --problem44 -m 5", "error: need even m > 3"),
-    ("experiment --problem44 -m 4 --horizon -5", "error: horizon must be non-negative"),
+    ("experiment --problem44 -m 4 --horizon -5", "error: horizon must be >= 1"),
+    ("experiment --problem44 -m 4 --horizon 0", "error: horizon must be >= 1"),
     ("nonperiodic -p 1,1", "error: need degree >= 2"),
     ("nonperiodic -p 2,1,1", "error: need constant term 1"),
     ("nonperiodic -A {2,3} --precision 52",

@@ -72,6 +72,28 @@ def test_sk_rows_match_alt_moment_sums():
                          for n in range(41)] for k in range(5)]
 
 
+def test_comp_poly_rows_on_every_small_set():
+    # every subset of {1..8}, the empty set included: the levels no part
+    # reaches ({2} at odd n, {3,5} at n = 1, 2, 4, 7) hold no count and
+    # are stored as [], every other row ends in its last non-zero count
+    for mask in range(1 << 8):
+        members = [a for a in range(1, 9) if mask >> (a - 1) & 1]
+        assert kernels.comp_poly_rows(members, 0) == [[1]]
+        for n, row in enumerate(kernels.comp_poly_rows(members, 24)):
+            tri = triangle_counts_by_multiset(members, n)
+            assert row == [tri[i] for i in range(max(tri, default=-1) + 1)], (members, n)
+
+
+@pytest.mark.parametrize("members, k_max, n_max", [
+    ([], 3, 12), ([], 0, 0), ([1, 2], 0, 40), ([4], 0, 0), ([2, 3, 7], 0, 25),
+    ([5, 7], 2, 4), ([2, 9, 40], 3, 20), ([1, 30], 2, 12), ([3], 4, 2)])
+def test_sk_rows_edge_cases(members, k_max, n_max):
+    # the empty set, the S_0 row alone, and parts beyond the table size
+    assert kernels.sk_rows(members, k_max, n_max) == [
+        [alt_moment_sum(members, k, n, counts=triangle_counts_by_multiset)
+         for n in range(n_max + 1)] for k in range(k_max + 1)]
+
+
 def test_series_inverse_and_first_violation_match_oracles():
     rng = random.Random(504)
     for _ in range(25):
