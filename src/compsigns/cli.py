@@ -30,6 +30,13 @@ the primary files).  Outputs are emitted under the same exit-code rules
 as the handler runs: a file that cannot be written exits 3, any other
 failure while emitting exits 4.
 
+The command line is read against one option table, ``_COMMANDS``, in
+argparse's spellings: ``-N 5``, ``-N5``, ``-N=5``, ``--horizon=5``, a
+unique prefix of a long option, a negative value (``-N -1``) and ``--``,
+after which every token is a value.  Refused input exits 3 with
+argparse's message.  ``-h``/``--help`` and ``--version`` print from
+``main``, which returns 0.
+
 ``nonperiodic`` runs at a fixed working precision of 256 bits, with every
 tolerance and budget fixed; ``--exact`` is its one setting.
 ``--precision`` and ``--config`` exit 3 as unrecognised arguments.
@@ -37,43 +44,234 @@ tolerance and budget fixed; ``--exact`` is its one setting.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
+from types import SimpleNamespace  # already loaded by runpy, or by re in the console script
 
 from . import InternalError, __version__
-from .sets import DEFAULT_HORIZON, SpecError, parse_spec
-from .sums import ROUTES
+from .sets import DEFAULT_HORIZON, SetSpec, SpecError, parse_spec
 
-# beyond sets and sums (whose ROUTES name the --route choices), each handler
-# imports the capability modules it runs, and stdlib modules that serve one
-# branch load in that branch, so that a run pays at start-up only for its
-# own subcommand
+# each handler imports the capability modules it runs, and stdlib modules
+# that serve one branch load in that branch, so that a run pays at
+# start-up only for its own subcommand; type checkers read this flag as
+# typing's, which the run need not import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from .sets import SetSpec
-
 SCHEMA = "compsigns/1"
+
+_OUT = {"--out": dict(metavar="DIR", help="also write files + run manifest here")}
+
+# every subcommand: (help, {flag: options}), the options in argparse's own
+# keywords, so that a test can build the argparse parser this one must match
+_COMMANDS = {
+    "counts": ("composition counts c_A(n)", {
+        "-A": dict(required=True, metavar="SET"),
+        "-N": dict(required=True, type=int),
+        **_OUT}),
+    "polys": ("coefficient triangle c_A(i, n)", {
+        "-A": dict(required=True, metavar="SET"),
+        "-N": dict(required=True, type=int),
+        **_OUT}),
+    "sk": ("weighted alternating sums S_k(n)", {
+        "-A": dict(required=True, metavar="SET"),
+        "-K": dict(required=True, type=int),
+        "-N": dict(required=True, type=int),
+        # sums.ROUTES, sorted, then all
+        "--route": dict(choices=["conv", "direct", "fast", "q", "all"], default="fast"),
+        **_OUT}),
+    "signs": ("sign word of one grid row", {
+        "-A": dict(required=True, metavar="SET"),
+        "-k": dict(required=True, type=int),
+        "-N": dict(required=True, type=int),
+        "--normalized": dict(action="store_true", help="signs of (-1)^n S instead of S"),
+        "--detect": dict(metavar="P,T", help="scan for (preperiod <= P, period <= T)"),
+        **_OUT}),
+    "verify": ("run one verification suite", {
+        "--suite": dict(required=True,
+                        choices=["section2", "prop33", "thm34", "thm36", "union"]),
+        "-A": dict(metavar="SET"),
+        "-B": dict(metavar="SET"),
+        "-E": dict(metavar="SET"),
+        "-m": dict(type=int),
+        "-N": dict(type=int, default=60),
+        **_OUT}),
+    "nonperiodic": ("dominant-root sign certificate", {
+        "-A": dict(metavar="SET"),
+        "-p": dict(metavar="COEFFS",
+                   help="comma-separated coefficients, constant term first"),
+        "--exact": dict(action="store_true"),
+        **_OUT}),
+    "enumerate": ("scan all subsets of {1..N}", {
+        "-N": dict(required=True, type=int),
+        "--horizon": dict(required=True, type=int),
+        "--jobs": dict(type=int, default=1,
+                       help="accepted for old command lines and otherwise ignored: "
+                            "the scan runs in one process"),
+        **_OUT}),
+    "construct": ("build a derived part set", {
+        "--thm36": dict(action="store_true", required=True,
+                        help="subset-sum set of an odd base set"),
+        "-B": dict(required=True, metavar="SET"),
+        **_OUT}),
+    "experiment": ("open-problem probes", {
+        "--problem44": dict(action="store_true", required=True,
+                            help="repunit-plus-base probe"),
+        "-m": dict(required=True, type=int),
+        "--horizon": dict(type=int, default=2000),
+        **_OUT}),
+}
+
+_HELP = ("-h", "--help")
 
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; the contract wants 3
-    def error(self, message):
-        raise _UsageError(message)
+def _classify(token: str, flags) -> tuple | None:
+    """Read one token as argparse does: None for a value, else (flag,
+    attached), where flag is None for an unknown option and attached is a
+    value written into the token (``-N5``, ``-N=5``, ``--horizon=5``).  A
+    unique prefix of a long flag names that flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, attached = token.partition("=")
+    if eq and name in flags:
+        return name, attached
+    if token[1] == "-":
+        hits = [(f, attached if eq else None) for f in flags if f.startswith(name)]
+    else:
+        hits = [(f, token[2:] if f == token[:2] else None) for f in flags
+                if f == token[:2] or f.startswith(token)]
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match "
+                          + ", ".join(f for f, _ in hits))
+    if hits:
+        return hits[0]
+    whole, dot, frac = token[1:].partition(".")
+    if (whole + frac).isdecimal() and (not dot or frac.isdecimal()) or " " in token:
+        return None  # a negative number (-1, -.5) or text with a space
+    return None, None
 
-    # argparse swallows a failed write of --help or --version; on an
-    # unbuffered stdout that write was the last chance to see the closed
-    # pipe, so let it fail as any other write does
-    def _print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
+
+def _kinds(tokens: list[str], flags) -> list:
+    """Read every token before the first "--" as _classify does: argparse
+    reads them all before it takes any, so an ambiguous one is refused
+    first.  From "--" on every token is a value."""
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    return [_classify(token, flags) for token in tokens[:cut]]
+
+
+def _unbundle(flag: str, attached: str | None, flags) -> tuple:
+    """Read short flags written after -h as argparse does, each as its own
+    (``-hN5`` is -h, then -N5): the last flag, its attached text, and
+    whether -h came first."""
+    helps = False
+    while flag == "-h" and attached and "-" + attached[0] in flags:
+        helps, flag, attached = True, "-" + attached[0], attached[1:] or None
+    return flag, attached, helps
+
+
+def _choice(name: str, value, choices) -> None:
+    if value not in choices:
+        shown = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {shown})")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """Parse argv against ``_COMMANDS`` as argparse would.  Returns the
+    parsed arguments, or the text that --help or --version prints;
+    refused input raises _UsageError with argparse's message."""
+    extras, flags = [], (*_HELP, "--version")
+    kinds = _kinds(argv, flags)
+    for i, kind in enumerate(kinds):  # options before the subcommand
+        if kind is None:
+            break
+        if kind[0] is None:
+            extras.append(argv[i])
+            continue
+        flag, attached, _ = _unbundle(*kind, flags)
+        if attached is not None:
+            name = flag if flag == "--version" else "/".join(_HELP)
+            raise _UsageError(f"argument {name}: ignored explicit argument {attached!r}")
+        return __version__ + "\n" if flag == "--version" else _help()
+    else:  # the command is "--", if a token follows it
+        i = len(kinds)
+        if i + 1 >= len(argv):
+            raise _UsageError("the following arguments are required: command")
+    _choice("command", argv[i], list(_COMMANDS))
+    command, tokens = argv[i], argv[i + 1:]
+    options = _COMMANDS[command][1]
+    values = {"command": command}
+    values.update((f.lstrip("-"), kw.get("default", False if "action" in kw else None))
+                  for f, kw in options.items())
+    # no option takes the values from "--" on, so they are unrecognized
+    flags = (*_HELP, *options)
+    kinds = _kinds(tokens, flags)
+    cut = len(kinds)
+    seen, j = set(), 0
+    while j < cut:
+        token, kind = tokens[j], kinds[j]
+        j += 1
+        if kind is None or kind[0] is None:
+            extras.append(token)
+            continue
+        flag, attached, helps = _unbundle(*kind, flags)
+        kw = options.get(flag, {"action": "help"})
+        name = "/".join(_HELP) if flag in _HELP else flag
+        if "action" in kw:
+            if attached is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {attached!r}")
+            attached = True
+        elif attached is None:
+            if j == cut or kinds[j] is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            attached = tokens[j]
+            j += 1
+        if helps or flag in _HELP:  # help is taken first, before any value is read
+            return _help(command)
+        if "type" in kw:
+            try:
+                attached = kw["type"](attached)
+            except ValueError:
+                raise _UsageError(f"argument {flag}: invalid {kw['type'].__name__} "
+                                  f"value: {attached!r}") from None
+        if "choices" in kw:
+            _choice(flag, attached, kw["choices"])
+        values[flag.lstrip("-")] = attached
+        seen.add(flag)
+    missing = [f for f, kw in options.items() if kw.get("required") and f not in seen]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    extras += tokens[cut:]
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
+
+
+def _help(command: str | None = None) -> str:
+    """The text of --help, written from the option table."""
+    if command is None:
+        return (f"usage: compsigns [-h] [--version] COMMAND ...\n\n{__doc__.splitlines()[0]}"
+                "\n\ncommands:\n"
+                + "".join(f"  {name:<12} {text}\n" for name, (text, _) in _COMMANDS.items()))
+    about, options = _COMMANDS[command]
+    usage, rows = [], [f"  {'-h, --help':<12} show this help message and exit"]
+    for flag, kw in options.items():
+        shown = flag
+        if "action" not in kw:
+            choices = kw.get("choices")
+            shown += " " + (kw.get("metavar") or choices and "{%s}" % ",".join(choices)
+                            or flag.lstrip("-").upper())
+        usage.append(shown if kw.get("required") else f"[{shown}]")
+        rows.append(f"  {shown:<12} {kw.get('help', '')}".rstrip())
+    return (f"usage: compsigns {command} [-h] {' '.join(usage)}\n\n{about}\n\noptions:\n"
+            + "\n".join(rows) + "\n")
 
 
 def _spec(text: str, n: int) -> SetSpec:
@@ -84,82 +282,6 @@ def _spec(text: str, n: int) -> SetSpec:
     if n < 0:
         raise SpecError("N must be non-negative")
     return parse_spec(text, horizon=max(DEFAULT_HORIZON, n))
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="compsigns", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", metavar="DIR", help="also write files + run manifest here")
-
-    p = sub.add_parser("counts", help="composition counts c_A(n)")
-    p.add_argument("-A", required=True, metavar="SET")
-    p.add_argument("-N", required=True, type=int)
-    common(p)
-
-    p = sub.add_parser("polys", help="coefficient triangle c_A(i, n)")
-    p.add_argument("-A", required=True, metavar="SET")
-    p.add_argument("-N", required=True, type=int)
-    common(p)
-
-    p = sub.add_parser("sk", help="weighted alternating sums S_k(n)")
-    p.add_argument("-A", required=True, metavar="SET")
-    p.add_argument("-K", required=True, type=int)
-    p.add_argument("-N", required=True, type=int)
-    p.add_argument("--route", choices=sorted(ROUTES) + ["all"],
-                   default="fast")
-    common(p)
-
-    p = sub.add_parser("signs", help="sign word of one grid row")
-    p.add_argument("-A", required=True, metavar="SET")
-    p.add_argument("-k", required=True, type=int)
-    p.add_argument("-N", required=True, type=int)
-    p.add_argument("--normalized", action="store_true",
-                   help="signs of (-1)^n S instead of S")
-    p.add_argument("--detect", metavar="P,T",
-                   help="scan for (preperiod <= P, period <= T)")
-    common(p)
-
-    p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["section2", "prop33", "thm34", "thm36", "union"])
-    p.add_argument("-A", metavar="SET")
-    p.add_argument("-B", metavar="SET")
-    p.add_argument("-E", metavar="SET")
-    p.add_argument("-m", type=int)
-    p.add_argument("-N", type=int, default=60)
-    common(p)
-
-    p = sub.add_parser("nonperiodic", help="dominant-root sign certificate")
-    p.add_argument("-A", metavar="SET")
-    p.add_argument("-p", metavar="COEFFS",
-                   help="comma-separated coefficients, constant term first")
-    p.add_argument("--exact", action="store_true")
-    common(p)
-
-    p = sub.add_parser("enumerate", help="scan all subsets of {1..N}")
-    p.add_argument("-N", required=True, type=int)
-    p.add_argument("--horizon", required=True, type=int)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for old command lines and otherwise ignored: "
-                        "the scan runs in one process")
-    common(p)
-
-    p = sub.add_parser("construct", help="build a derived part set")
-    p.add_argument("--thm36", action="store_true", required=True,
-                   help="subset-sum set of an odd base set")
-    p.add_argument("-B", required=True, metavar="SET")
-    common(p)
-
-    p = sub.add_parser("experiment", help="open-problem probes")
-    p.add_argument("--problem44", action="store_true", required=True,
-                   help="repunit-plus-base probe")
-    p.add_argument("-m", required=True, type=int)
-    p.add_argument("--horizon", type=int, default=2000)
-    common(p)
-    return parser
 
 
 def _json_text(blob: dict) -> str:
@@ -187,7 +309,7 @@ def _cmd_polys(args):
 
 
 def _cmd_sk(args):
-    from .sums import grid_csv
+    from .sums import ROUTES, grid_csv
 
     spec = _spec(args.A, args.N)
     if args.route != "all":
@@ -228,12 +350,19 @@ def _cmd_signs(args):
     return 0, out
 
 
+# the set and m options each verify suite reads; it refuses the others
+_SUITE_READS = {"section2": "A", "prop33": "m", "thm34": "E", "thm36": "B", "union": "AB"}
+
+
 def _cmd_verify(args):
+    suite = args.suite
+    for name in "ABEm":
+        if getattr(args, name) is not None and name not in _SUITE_READS[suite]:
+            raise SpecError(f"verify --suite {suite} does not read -{name}")
     # a check over no n would pass; refused before the library, whose
     # messages name upto
     if args.N < 1:
         raise SpecError("N must be >= 1")
-    suite = args.suite
     if suite == "section2":
         from .compositions import verify_identities
 
@@ -422,9 +551,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11 caps it at 4300 digits
         sys.set_int_max_str_digits(0)  # exact integers print in full
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
+        if isinstance(args, str):  # --help or --version: print it, run nothing
+            sys.stdout.write(args)
+            sys.stdout.flush()
+            return 0
         code, outputs = _HANDLERS[args.command](args)
         directory = None
         if args.out:
@@ -467,14 +599,11 @@ def run() -> None:
     finalizers, tempfile).  A flush into a pipe the reader has closed ends
     quietly with 141, as main does; any other failed flush leaves through
     sys.exit."""
-    try:
-        code = main()
-    except SystemExit as exc:  # argparse ends --version and --help
-        code = exc.code or 0
+    code = main()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except BrokenPipeError:  # argparse's text, printed outside main's handler
+    except BrokenPipeError:  # what a failed run left in the buffer
         os._exit(141)
     except (OSError, ValueError):  # a closed file
         sys.exit(code)

@@ -33,9 +33,7 @@ import itertools
 
 from . import Record
 from ._backend import eval_table, first_violation, series_inv_int
-from .compositions import comp_counts, partition_counts
 from .sets import COFINITE, EXPLICIT, REPUNIT, SetSpec, SpecError, e_prime, explicit
-from .sums import normalized_violation, sk_fast
 
 MASK_BUDGET = 22  # enumerate_F scans at most 2^MASK_BUDGET subsets
 
@@ -65,6 +63,9 @@ def verify_cofinite_even_complement(E: SetSpec, upto: int, k_max: int = 3) -> Co
     1 <= n <= upto with E' = e_prime(E), and (-1)^n S_{A,k}(n) >= 0 for
     all k <= k_max.
     """
+    from .compositions import comp_counts
+    from .sums import normalized_violation, sk_fast
+
     if E.kind != EXPLICIT:
         raise SpecError("need a finite explicit set of even numbers")
     eprime = e_prime(E)  # rejects odd elements
@@ -127,6 +128,9 @@ class SubsetSumCheck(Record):
 
 def verify_distinct_subset_sums(B: SetSpec, upto: int) -> SubsetSumCheck:
     """(-1)^n S_{A,0}(n) = p_B(n) for n <= upto, A the subset-sum set."""
+    from .compositions import partition_counts
+    from .sums import sk_fast
+
     a_spec = construct_distinct_subset_sums(B)
     row = sk_fast(a_spec, 0, upto).normalized(0)
     parts = partition_counts(B, upto)

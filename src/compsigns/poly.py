@@ -22,11 +22,11 @@ tracer (perfbench/shim.py) looks up ``resultant_in_y`` by name.
 from __future__ import annotations
 
 from math import gcd as _int_gcd
-from typing import TYPE_CHECKING
 
 from . import InternalError, Record
 from ._backend import conv, conv_trunc
 
+TYPE_CHECKING = False  # read by type checkers as typing's, without its import
 if TYPE_CHECKING:  # the rational references import fractions where they run
     from fractions import Fraction
 

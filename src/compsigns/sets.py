@@ -20,8 +20,6 @@ Any form takes an optional suffix ``@H`` setting the printed horizon
 
 from __future__ import annotations
 
-import re
-
 from . import Record
 
 DEFAULT_HORIZON = 1000
@@ -169,10 +167,13 @@ def explicit(elements, horizon: int = DEFAULT_HORIZON) -> SetSpec:
 
 
 _ELEMS = r"\{\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\}"
-_RX_EXPLICIT = re.compile(r"^" + _ELEMS + r"$")
-_RX_RANGE = re.compile(r"^1\.\.(\d+)$")
-_RX_COFINITE = re.compile(r"^N\+(?:\\" + _ELEMS + r")?$")
-_RX_REPUNIT = re.compile(r"^repunit\((\d+)\)$")
+# one pattern per kind, tried in this order; group 1 holds the parameters
+_PATTERNS = {
+    EXPLICIT: r"^" + _ELEMS + r"$",
+    RANGE: r"^1\.\.(\d+)$",
+    COFINITE: r"^N\+(?:\\" + _ELEMS + r")?$",
+    REPUNIT: r"^repunit\((\d+)\)$",
+}
 
 
 def _parse_elems(group: str) -> tuple[int, ...]:
@@ -194,18 +195,14 @@ def parse_spec(text: str, horizon: int | None = None) -> SetSpec:
     if horizon is None:
         horizon = DEFAULT_HORIZON
 
-    m = _RX_EXPLICIT.match(body)
-    if m:
-        return SetSpec(EXPLICIT, _parse_elems(m.group(1)), horizon)
-    m = _RX_RANGE.match(body)
-    if m:
-        return SetSpec(RANGE, (int(m.group(1)),), horizon)
-    m = _RX_COFINITE.match(body)
-    if m:
-        return SetSpec(COFINITE, _parse_elems(m.group(1) or ""), horizon)
-    m = _RX_REPUNIT.match(body)
-    if m:
-        return SetSpec(REPUNIT, (int(m.group(1)),), horizon)
+    import re  # re compiles each pattern the first time it is matched
+
+    for kind, pattern in _PATTERNS.items():
+        m = re.match(pattern, body)
+        if m:
+            if kind in (EXPLICIT, COFINITE):
+                return SetSpec(kind, _parse_elems(m.group(1) or ""), horizon)
+            return SetSpec(kind, (int(m.group(1)),), horizon)
     raise SpecError(f"cannot parse set description {text!r}")
 
 

@@ -1,7 +1,8 @@
 """The benchmark's job lists (perfbench/jobs.py) pass fixed command lines
 to the CLI, and a flag the CLI no longer accepts fails every run of the
 workload that passes it.  This parses each of those command lines with
-the CLI's own parser, without running any job."""
+the CLI's own parser, which reads them against its option table, without
+running any job."""
 
 import importlib.util
 from pathlib import Path
@@ -25,9 +26,10 @@ jobs = _jobs_module()
 
 def _parses(argv):
     try:
-        cli.build_parser().parse_args(argv)
+        args = cli._parse(argv)
     except cli._UsageError as exc:
         pytest.fail(f"{' '.join(argv)}: {exc}")
+    assert args.command == argv[0]  # a run, not the text of --help
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2101])

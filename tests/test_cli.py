@@ -3,6 +3,7 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -293,7 +294,10 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     # stays out too, even for a scan run with --jobs 2, and no run, the
     # certifier's included, loads fractions or decimal.  Each run loads
     # only its own subcommand: no module a bare interpreter lacks that
-    # serves records, crashes, JSON output or --out alone
+    # serves records, crashes, JSON output or --out alone.  Start-up
+    # (--version) loads the package, its parser and sets alone, no run
+    # loads argparse, and the certifier and the scan load neither
+    # compositions nor sums
     script = textwrap.dedent("""
         import sys
         bare = set(sys.argv[1].split())
@@ -323,8 +327,11 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
     """)
     src = Path(compsigns.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
+    # a bare interpreter, with the standard-library modules that
+    # compsigns._backend imports, which every run loads with the package
     bare = subprocess.run(
-        [sys.executable, "-c", "import sys; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-c", "import sys, collections, itertools, math, operator; "
+                               "print(' '.join(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     out_dir = tmp_path / "counts"
     proc = subprocess.run(
@@ -339,6 +346,25 @@ def test_numeric_stack_loaded_only_by_the_certifier(tmp_path):
         if ln.startswith("new "):
             _, command, *names = ln.split(" ")
             new.setdefault(command, []).append(set(names))
+
+    def fresh(*argv):
+        # the modules one run in a fresh process adds to the bare interpreter
+        run_one = ("import sys; from compsigns import cli; assert cli.main(sys.argv[2:]) == 0; "
+                   "print('\\n' + ' '.join(sorted(set(sys.modules) - set(sys.argv[1].split()))))")
+        proc = subprocess.run([sys.executable, "-c", run_one, bare, *argv],
+                              env=env, capture_output=True, text=True, check=True)
+        return set(proc.stdout.splitlines()[-1].split())
+
+    # start-up loads the parser and nothing a subcommand runs
+    assert fresh("--version") == {"__future__", "compsigns", "compsigns._backend",
+                                  "compsigns.cli", "compsigns.sets"}
+    assert not fresh("counts", "--help") - fresh("--version")
+    for argv in (("nonperiodic", "-A", "{2,3}"), ("enumerate", "-N", "8", "--horizon", "32")):
+        run_new = fresh(*argv)
+        assert not {"compsigns.compositions", "compsigns.sums"} & run_new, argv
+        new.setdefault(argv[0], []).append(run_new)
+    for command, sets in new.items():
+        assert not {"argparse", "gettext"} & set().union(*sets), command
     branch_only = {"dataclasses", "inspect", "traceback", "hashlib", "compsigns.nonperiodic"}
     for command in ("counts", "signs", "verify"):
         assert not new[command][0] & branch_only, command
@@ -501,10 +527,9 @@ def test_closed_stdout_ends_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
-    # argparse prints these itself and ends by SystemExit, outside main's
-    # handler; the reader is gone before the child starts, so the write
-    # fails whatever the timing.  Unbuffered, the write itself fails, inside
-    # argparse, and must still end in 141
+    # the reader is gone before the child starts, so the write of --version
+    # or --help fails whatever the timing.  Unbuffered, the write itself
+    # fails, not the flush, and must still end in 141
     for flag in ("--version", "--help"):
         for unbuffered in (False, True):
             read_end, write_end = os.pipe()
@@ -678,12 +703,21 @@ _REFUSED = [
     ("experiment --problem44 -m 5", "error: need even m > 3"),
     ("experiment --problem44 -m 4 --horizon -5", "error: horizon must be >= 1"),
     ("experiment --problem44 -m 4 --horizon 0", "error: horizon must be >= 1"),
+    # an option the suite does not read would be ignored
+    ("verify --suite section2 -A {1,2} -m 3", "error: verify --suite section2 does not read -m"),
+    ("verify --suite prop33 -m 3 -N 5 -A {1}", "error: verify --suite prop33 does not read -A"),
+    ("verify --suite thm34 -E {2} -B {1,3}", "error: verify --suite thm34 does not read -B"),
+    ("verify --suite thm36 -B {1,3} -E {2}", "error: verify --suite thm36 does not read -E"),
+    ("verify --suite union -A {1,3} -B {2,4} -m 4",
+     "error: verify --suite union does not read -m"),
     ("nonperiodic -p 1,1", "error: need degree >= 2"),
     ("nonperiodic -p 2,1,1", "error: need constant term 1"),
     ("nonperiodic -A {2,3} --precision 52",
      "usage error: unrecognized arguments: --precision 52"),
     ("nonperiodic -A 'N+\\{2,4}@4'", "error: denominator polynomial needs a finite part set"),
     ("nonperiodic -A {2,3} --config x", "usage error: unrecognized arguments: --config x"),
+    # no subcommand takes a value after "--"
+    ("counts -A {1,2} -N 5 -- x", "usage error: unrecognized arguments: -- x"),
 ]
 
 
@@ -759,12 +793,165 @@ _OPTIONS = {
 
 
 def test_subcommand_options_are_pinned():
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    got = {name: " ".join(opt for a in p._actions if not isinstance(a, argparse._HelpAction)
-                          for opt in a.option_strings)
-           for name, p in sub.choices.items()}
+    got = {name: " ".join(options) for name, (_, options) in cli._COMMANDS.items()}
     assert got == _OPTIONS
+    assert list(cli._COMMANDS) == list(cli._HANDLERS)
+
+
+def test_route_choices_are_the_routes():
+    # the table spells the --route choices out, so that the parser needs
+    # no import of sums
+    choices = cli._COMMANDS["sk"][1]["--route"]["choices"]
+    assert choices == sorted(sums.ROUTES) + ["all"]
+
+
+# -- the option-table parser against argparse --------------------------------
+
+
+class _OracleRefused(Exception):
+    pass
+
+
+class _OracleExit(Exception):
+    pass
+
+
+class _Oracle(argparse.ArgumentParser):
+    """argparse, built from the same table: the reference the CLI's own
+    parser must agree with.  It raises instead of exiting and keeps what
+    --help and --version would print."""
+
+    def error(self, message):
+        raise _OracleRefused(message)
+
+    def _print_message(self, message, file=None):
+        self.printed = message
+
+    def exit(self, status=0, message=None):
+        raise _OracleExit(self.printed)
+
+
+def _oracle():
+    parser = _Oracle(prog="compsigns")
+    parser.add_argument("--version", action="version", version=compsigns.__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+    return parser
+
+
+def _printed(text):
+    return "version" if text == compsigns.__version__ + "\n" else "help"
+
+
+def _oracle_reads(parser, argv):
+    try:
+        return "parsed", vars(parser.parse_args(argv))
+    except _OracleRefused as exc:
+        return "refused", str(exc)
+    except _OracleExit as exc:
+        return "printed", _printed(str(exc))
+
+
+def _cli_reads(argv):
+    try:
+        got = cli._parse(argv)
+    except cli._UsageError as exc:
+        return "refused", str(exc)
+    if isinstance(got, str):
+        return "printed", _printed(got)
+    return "parsed", vars(got)
+
+
+# argparse's messages for these two refusals are pinned by tests; the
+# others are compared by what they name, the text before the first colon,
+# since argparse's wording of the rest varies between Python versions, as
+# does its handling of "--" between patch releases of 3.12 and 3.13
+_PINNED_MESSAGES = ("unrecognized arguments: ", "the following arguments are required: ")
+
+# spellings whose reading argparse gives the same on Python 3.10 to 3.13
+_SPELLINGS = [
+    "counts -A {1,2} -N5",
+    "counts -A {1,2} -N=5",
+    "counts -A{1,2} -N 5",
+    "enumerate -N 5 --horizon=20",
+    "enumerate -N 5 --hor 20",
+    "enumerate -N 5 --horizon 20 --j 1",
+    "signs -A {2,3} -k 0 -N 9 --norm",
+    "counts -A {1,2} -N -1",
+    "sk -A {1,2} -K 1 -N 5 --route=q",
+    "sk -A {1,2} -K 1 -N 5 --rou conv",
+    "nonperiodic -A {2,3} --exact=1",
+    "nonperiodic -A {2,3} --ex",
+    "counts -A",
+    "counts -N 5 -A",
+    "counts -A {1,2} -- -N 5",
+    "counts -A {1,2} -N 5 --bogus",
+    "counts -A {1,2} -N 5 --bogus 3",
+    "counts -A {1,2} -N 5 -x",
+    "counts -A {1,2} -N 5 extra",
+    "counts -A {1,2} -N 5 -7",
+    "--bogus counts -A {1,2} -N 5",
+    "counts -A {1,2}",
+    "construct -B {1,3}",
+    "counts -A {1,2} -N x",
+    "counts -A {1,2} -N ''",
+    "sk -A {1,2} -K 1 -N 5 --route x",
+    "verify --suite bogus",
+    "verify",
+    "enumerate -N 5 --h 20",
+    "enumerate -N 5 --horizon 20 --o",
+    "counts -A {1,2} -N 5 -N 6",
+    "--version",
+    "--version extra",
+    "--vers",
+    "--help",
+    "-h",
+    "counts --help",
+    "counts -A {1,2} -N 5 -h",
+    "enumerate --he",
+    "counts -hN5",
+    "counts -A {1,2} -N 5 -hx",
+    "-hh",
+    "",
+    "--",
+    "--bogus --",
+    "bogus",
+    "-1",
+    # every token is read before any is taken: the ambiguous one is
+    # refused before -h prints
+    "-h counts --=5",
+]
+
+
+def _parser_corpus():
+    """Every command line the parsers are compared on."""
+    from test_bench_argv import jobs
+
+    lines = [shlex.split(line) for line in _SPELLINGS]
+    seeds = (1, 7, 2101)
+    for workload in jobs.WORKLOADS:
+        if workload == "certify" and importlib.util.find_spec("numpy") is None:
+            continue  # its set picker calls numpy
+        lines += [job["argv"] for seed in seeds for job in jobs.job_list(workload, seed)]
+        lines += jobs.WARMUP[workload]
+    lines += [shlex.split(line.partition("#")[0])[1:] for line in _readme_cli_lines()]
+    lines += [shlex.split(line) for line, _ in _REFUSED]
+    lines += [shlex.split(row[3]) for row in _FAILED_CHECKS.values()]
+    return lines
+
+
+def test_parser_reads_every_line_as_argparse_does():
+    oracle = _oracle()
+    corpus = _parser_corpus()
+    assert len(corpus) > 100
+    for argv in corpus:
+        want, got = _oracle_reads(oracle, argv), _cli_reads(argv)
+        if want[0] == "refused" and ("--" in argv or not want[1].startswith(_PINNED_MESSAGES)):
+            want, got = (want[0], want[1].partition(":")[0]), (got[0], got[1].partition(":")[0])
+        assert got == want, argv
 
 
 def _raise_value_error(*args, **kwargs):
@@ -778,7 +965,7 @@ def _raise_value_error(*args, **kwargs):
     (sums, "sk_rows", "sk -A {1,2} -K 1 -N 5"),
     (sums, "comp_polys", "sk -A {1,2} -K 1 -N 5 --route direct"),
     (signs, "detect_period", "signs -A {1,2} -k 0 -N 30 --detect 5,8"),
-    (explorer, "comp_counts", "verify --suite thm34 -E {2,6} -N 40"),
+    (compositions, "comp_counts", "verify --suite thm34 -E {2,6} -N 40"),
     (nonperiodic, "roots_numeric", "nonperiodic -A {2,3}"),
     (explorer, "_sweep", "enumerate -N 5 --horizon 20"),
     (explorer, "_subset_sums", "construct --thm36 -B {1,3,5}"),
@@ -806,12 +993,10 @@ def test_zero_gcd_in_yun_exits_4(capsys, monkeypatch):
 
 def _cli_process(*args, path="", stdout=subprocess.PIPE, unbuffered=False):
     """Run `python ARGS` as its own process, compsigns' sources (and `path`)
-    importable, at the help width argparse takes for 80 columns, and with
-    stdout block-buffered, so that output nobody flushes is lost, unless
-    ``unbuffered`` sets PYTHONUNBUFFERED."""
+    importable, and with stdout block-buffered, so that output nobody
+    flushes is lost, unless ``unbuffered`` sets PYTHONUNBUFFERED."""
     src = str(Path(compsigns.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path])),
-           "COLUMNS": "80"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -834,11 +1019,7 @@ def _cli_process(*args, path="", stdout=subprocess.PIPE, unbuffered=False):
         "unknown-flag", "version", "help"])
 def test_process_exit_matches_main(capsys, monkeypatch, line, code):
     argv = shlex.split(line)
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        got = main(argv)
-    except SystemExit as exc:  # argparse ends --version and --help
-        got = exc.code
+    got = main(argv)
     out = capsys.readouterr()
     assert got == code
     if line == "--version":
@@ -914,12 +1095,17 @@ def test_no_module_leaves_work_for_interpreter_exit():
             assert not {n.partition(".")[0] for n in names} & skipped, (path.name, node.lineno)
 
 
+def _readme_cli_lines():
+    """The command lines of the README's CLI block, comments included."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("compsigns ")]
+
+
 def test_readme_cli_examples(capsys):
     # every command of the README's CLI block parses and gives what its
     # comment states: "last line: X" of stdout, or "exit N"; else exit 0
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
-    commands = [line for line in block.splitlines() if line.startswith("compsigns ")]
+    commands = _readme_cli_lines()
     assert len(commands) >= 10
     for line in commands:
         command, _, comment = line.partition("#")
@@ -932,10 +1118,16 @@ def test_readme_cli_examples(capsys):
             assert out.out.splitlines()[-1] == comment.split("last line: ", 1)[1].strip(), line
 
 
-def test_help_exits_zero():
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
+def test_help_exits_zero(capsys):
+    code, top = run(capsys, "-h")
+    assert (code, top.err) == (0, "")
+    assert top.out.startswith("usage: compsigns ")
+    for name, (text, options) in cli._COMMANDS.items():
+        assert f"  {name}" in top.out and text in top.out
+        code, out = run(capsys, name, "--help")
+        assert (code, out.err) == (0, "")
+        assert out.out.startswith(f"usage: compsigns {name} ")
+        assert all(flag in out.out for flag in options)
 
 
 def test_out_dir_writes_manifest(tmp_path, capsys):
