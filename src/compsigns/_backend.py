@@ -1,8 +1,12 @@
 """The exact integer inner loops every count, sum and scan is built on.
 
 Everything here works on plain Python ints, so results are exact at any
-size.  The two table kernels, ``comp_poly_rows`` and ``sk_rows``, build
-level n by gathering the rows of its predecessors n - a, one per part a.
+size.  Every value table is a row of one recurrence: with f_0 = 1 and
+f_n = t * sum_a f_{n-a}, ``sk_rows`` gives D^k(f_n) at a point t, where
+D = t*d/dt.  The counts c_A(n) are f_n(1), the sums S_k(n) are D^k(f_n)
+at t = -1, and the identity checks read f_n and D(f_n) at t = +-2^b.
+``comp_poly_rows`` keeps the f_n as coefficient rows, gathering level n
+from the rows of its predecessors n - a, one per part a.
 ``BACKEND`` names these kernels for callers that report which ones ran,
 such as the probe of ``perfbench/run.py``.
 
@@ -52,54 +56,47 @@ def comp_poly_rows(members: list, n_max: int) -> list:
     return rows
 
 
+def sk_rows(members: list, k_max: int, n_max: int, t) -> list:
+    """Values g[k][n] = D^k(f_n) at the point t, 0 <= k <= k_max, 0 <= n <= n_max.
+
+    f_0 = 1 and f_n = t * h_n with h_n = sum_a f_{n-a}.  D = t*d/dt is a
+    derivation with D^j(t) = t for every j, so the binomial product rule
+    gives D^k(f_n) = t * sum_{j<=k} C(k,j) D^j(h_n).  Row k is built left
+    to right after the rows below it, which leave their sums
+    h[j][n] = sum_a g[j][n-a]:
+
+        g[k][n] = t * (sum_a g[k][n-a] + sum_{j<k} C(k,j) * h[j][n]).
+
+    Row 0 at t = 1 holds the counts c_A(n); rows 0..K at t = -1 hold the
+    sums S_k(n).
+    """
+    rows, sums = [], []
+    for k in range(k_max + 1):
+        binom = [comb(k, j) for j in range(k)]
+        # row k starts as its lower-row terms, which are 0 at n = 0 (h[j][0] = 0)
+        row = [sum(map(mul, binom, col)) for col in zip(*sums)] if k else [1] + [0] * n_max
+        h = [0] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            s = 0
+            for a in members:
+                if a > n:
+                    break
+                s += row[n - a]
+            h[n] = s
+            row[n] = t * (s + row[n])
+        rows.append(row)
+        sums.append(h)
+    return rows
+
+
 def eval_table(members: list, n_max: int, t) -> list:
-    """Values of the part-count polynomials at the point t, by recurrence."""
-    vals = [1] + [0] * n_max
-    for n in range(1, n_max + 1):
-        s = 0
-        for a in members:
-            if a > n:
-                break
-            s += vals[n - a]
-        vals[n] = t * s
-    return vals
+    """Row 0 of sk_rows, kept under its old name for the benchmark's tracer."""
+    return sk_rows(members, 0, n_max, t)[0]
 
 
 def delta_eval_table(members: list, n_max: int, t, vals: list) -> list:
-    """Values of D(f_n) at t, where D = t*d/dt and vals = eval_table(.., t).
-
-    D applied to the table recurrence gives
-    D(f_n)(t) = sum_a (t*f_{n-a}(t) + t*D(f_{n-a})(t)).
-    """
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        s = 0
-        for a in members:
-            if a > n:
-                break
-            s += vals[n - a] + out[n - a]
-        out[n] = t * s
-    return out
-
-
-def sk_rows(members: list, k_max: int, n_max: int) -> list:
-    """Alternating weighted sums S_k(n) for 0 <= k <= k_max, 0 <= n <= n_max.
-
-    Recurrence: apply the k-fold product rule for D = t*d/dt to the table
-    recurrence f_n = t * sum_a f_{n-a}; since D^(i)(t) = t for every i,
-    evaluating at t = -1 gives
-
-        g[k][n] = -sum_{j<=k} C(k,j) * sum_a g[j][n-a],   g[0][0] = 1.
-    """
-    g = [[0] * (n_max + 1) for _ in range(k_max + 1)]
-    g[0][0] = 1
-    binom = [[comb(k, j) for j in range(k + 1)] for k in range(k_max + 1)]
-    for n in range(1, n_max + 1):
-        past = [n - a for a in members if a <= n]
-        h = [sum(map(row.__getitem__, past)) for row in g]  # sum_a g[j][n-a]
-        for k, bk in enumerate(binom):
-            g[k][n] = -sum(map(mul, bk, h))
-    return g
+    """Row 1 of sk_rows, kept under its old name for the benchmark's tracer."""
+    return sk_rows(members, 1, n_max, t)[1]
 
 
 def series_inv_int(coeffs: list, order: int) -> list:
@@ -130,11 +127,11 @@ def first_violation(members: list, horizon: int) -> int:
     which q_0 = 1 cancels q_d = -1: minus that class's balance.  So
     q/(1 - x^d) = 1 - C with C >= 0, and 1/q = sum_j x^(dj) sum_i C^i >= 0.
 
-    Else S_0 is the k = 0 row of sk_rows, computed with early exit: with
-    s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at even n and
-    s < 0 at odd n.  The last max(A) values slide through a window read by
-    one fixed itemgetter (A has two or more parts here, so it returns a
-    tuple), padded with zeros at the start (S_0 is 0 below 0).
+    Else S_0 is the k = 0 row of sk_rows at t = -1, computed with early
+    exit: with s = sum_a S_0(n-a), S_0(n) = -s, so the test is s > 0 at
+    even n and s < 0 at odd n.  The last max(A) values slide through a
+    window read by one fixed itemgetter (A has two or more parts here, so
+    it returns a tuple), padded with zeros at the start (S_0 is 0 below 0).
     """
     d = members[0] if members else 1
     if d % 2 == 0:

@@ -350,32 +350,31 @@ def _cmd_signs(args):
     return 0, out
 
 
-# the set and m options each verify suite reads; it refuses the others
+# the set and m options each verify suite reads and needs; it refuses the others
 _SUITE_READS = {"section2": "A", "prop33": "m", "thm34": "E", "thm36": "B", "union": "AB"}
 
 
 def _cmd_verify(args):
     suite = args.suite
+    reads = _SUITE_READS[suite]
     for name in "ABEm":
-        if getattr(args, name) is not None and name not in _SUITE_READS[suite]:
+        if getattr(args, name) is not None and name not in reads:
             raise SpecError(f"verify --suite {suite} does not read -{name}")
     # a check over no n would pass; refused before the library, whose
     # messages name upto
     if args.N < 1:
         raise SpecError("N must be >= 1")
+    if any(getattr(args, name) in (None, "") for name in reads):
+        raise SpecError(f"verify --suite {suite} needs " + " and ".join(f"-{n}" for n in reads))
     if suite == "section2":
         from .compositions import verify_identities
 
-        if not args.A:
-            raise SpecError("verify --suite section2 needs -A")
         report = verify_identities(_spec(args.A, args.N), args.N)
         text = "\n".join(report.summary_lines()) + "\n"
         return (0 if report.all_pass else 1), [("verify.txt", text)]
     if suite == "prop33":
         from .signs import check_range_set_pattern
 
-        if args.m is None:
-            raise SpecError("verify --suite prop33 needs -m")
         chk = check_range_set_pattern(args.m, args.N)
         text = (f"range set 1..{chk.m} n <= {chk.upto}: "
                 + ("pass" if chk.passed else
@@ -384,8 +383,6 @@ def _cmd_verify(args):
     if suite == "thm34":
         from .explorer import verify_cofinite_even_complement
 
-        if args.E is None:
-            raise SpecError("verify --suite thm34 needs -E")
         chk = verify_cofinite_even_complement(_spec(args.E, args.N), args.N)
         lines = [
             f"removed even set {chk.removed} n <= {chk.upto} k <= {chk.k_max}",
@@ -398,8 +395,6 @@ def _cmd_verify(args):
     if suite == "thm36":
         from .explorer import verify_distinct_subset_sums
 
-        if not args.B:
-            raise SpecError("verify --suite thm36 needs -B")
         chk = verify_distinct_subset_sums(_spec(args.B, args.N), args.N)
         lines = [
             f"base {chk.base} -> set {chk.constructed}",
@@ -410,8 +405,6 @@ def _cmd_verify(args):
     # union
     from .explorer import union_relation_check
 
-    if not (args.A and args.B):
-        raise SpecError("verify --suite union needs -A and -B")
     ok = union_relation_check(_spec(args.A, args.N), _spec(args.B, args.N), args.N)
     text = f"union relation n <= {args.N}: " + ("pass" if ok else "FAIL") + "\n"
     return (0 if ok else 1), [("verify.txt", text)]

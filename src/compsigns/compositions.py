@@ -23,13 +23,7 @@ disagree, which is a bug (InternalError), not a finding.
 from __future__ import annotations
 
 from . import InternalError, Record
-from ._backend import (
-    comp_poly_rows,
-    conv_trunc,
-    delta_eval_table,
-    eval_table,
-    series_inv_int,
-)
+from ._backend import comp_poly_rows, conv_trunc, series_inv_int, sk_rows
 from .poly import IntPoly, RatSeries, delta_op, series_inverse, series_mul
 from .sets import SetSpec, SpecError
 
@@ -67,8 +61,7 @@ def comp_polys(spec: SetSpec, upto: int) -> CompPolyTable:
 
 def comp_counts(spec: SetSpec, upto: int) -> list[int]:
     """Counts c(n) for n = 0 .. upto, without building polynomials."""
-    members = spec.members_up_to(upto)
-    return eval_table(members, upto, 1)
+    return sk_rows(spec.members_up_to(upto), 0, upto, 1)[0]
 
 
 def partition_counts(spec: SetSpec, upto: int) -> list[int]:
@@ -315,8 +308,8 @@ class _IdentityChecker:
         b is the least exponent with 2^(2b) > 2B.
         """
         n_max = self.upto
-        c1 = eval_table(self.members, n_max, 1)
-        o1 = eval_table(self.odd_members, n_max, 1)
+        c1 = sk_rows(self.members, 0, n_max, 1)[0]
+        o1 = sk_rows(self.odd_members, 0, n_max, 1)[0]
         bound = 2 * max(4 * max(conv_trunc(c1, c1, n_max)),
                         4 * max(conv_trunc(o1, c1, n_max)), (n_max + 1) * max(c1))
         return (bound.bit_length() + 2) // 2
@@ -343,15 +336,16 @@ class _IdentityChecker:
         n_max = self.upto
         bits = self.eval_bits()
         t = 1 << bits
-        v_pos = eval_table(self.members, n_max, t)
-        v_neg = eval_table(self.members, n_max, -t)
-        o_pos = eval_table(self.odd_members, n_max, t)
-        o_neg = eval_table(self.odd_members, n_max, -t)
+        v_pos, w_pos = sk_rows(self.members, 1, n_max, t)
+        v_neg, w_neg = sk_rows(self.members, 1, n_max, -t)
+        o_pos = sk_rows(self.odd_members, 0, n_max, t)[0]
+        o_neg = sk_rows(self.odd_members, 0, n_max, -t)[0]
         rhs = conv_trunc(v_neg, v_pos, n_max)
         diffs = {"reflection": [_first_diff([a + b for a, b in zip(v_pos, v_neg)],
                                             [2 * c for c in rhs])],
                  "parity": [], "delta_self": []}
-        for point, v, v_bar, o_bar in ((t, v_pos, v_neg, o_neg), (-t, v_neg, v_pos, o_pos)):
+        for point, v, w, v_bar, o_bar in ((t, v_pos, w_pos, v_neg, o_neg),
+                                          (-t, v_neg, w_neg, v_pos, o_pos)):
             alt = [c if j % 2 == 0 else -c for j, c in enumerate(v)]
             lhs = conv_trunc(o_bar, [a + b for a, b in zip(v_bar, alt)], n_max)
             if point > 0:
@@ -361,7 +355,6 @@ class _IdentityChecker:
             diffs["parity"].append(_first_diff(lhs, [2 * c for c in par]))
             if self.all_odd:
                 diffs["parity"].append(_first_diff(v_bar, alt))
-            w = delta_eval_table(self.members, n_max, point, v)
             sq = conv_trunc(v, v, n_max)
             diffs["delta_self"].append(_first_diff(w, [a - b for a, b in zip(sq, v)]))
         fails: dict[str, IdentityFailure | None] = {}

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 
 from . import Record
-from ._backend import eval_table, first_violation, series_inv_int
+from ._backend import first_violation, series_inv_int, sk_rows
 from .sets import COFINITE, EXPLICIT, REPUNIT, SetSpec, SpecError, e_prime, explicit
 
 MASK_BUDGET = 22  # enumerate_F scans at most 2^MASK_BUDGET subsets
@@ -319,7 +319,7 @@ def union_relation_check(A: SetSpec, B: SetSpec, upto: int) -> bool:
     for t in (1, -1):
         inv = []
         for spec in (A, B, union):
-            series = eval_table(spec.members_up_to(upto), upto, t)
+            series = sk_rows(spec.members_up_to(upto), 0, upto, t)[0]
             inv.append(series_inv_int(series, upto))
         for n in range(upto + 1):
             want = 1 if n == 0 else 0

@@ -9,8 +9,8 @@ cross-validate each other exactly.
 
 * sk_direct: build the polynomial table and sum its coefficients
   weighted by (-1)^i * i^k.  Trusted reference, definitional.
-* sk_fast: production path on a single integer recurrence (see its
-  docstring for the derivation); no polynomial storage.
+* sk_fast: production path on a single integer recurrence
+  (_backend.sk_rows); no polynomial storage.
 * sk_via_q: lift row k to k+1 through the q-series f/(x f'), carried as
   integers scaled by powers of m = min(set); every lifted entry must
   divide back exactly.
@@ -67,25 +67,14 @@ def sk_direct(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
 
 
 def sk_fast(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
-    """Production route, one integer recurrence and no polynomials.
-
-    Derivation: the table recurrence says f_n = t * h with
-    h = sum over parts a <= n of f_{n-a}.  D = t * d/dt is a derivation
-    satisfying the binomial product rule D^k(uv) = sum_j C(k,j) D^j(u)
-    D^(k-j)(v), and D^j(t) = t for every j, so
-
-        D^k(f_n) = t * sum_j C(k,j) D^j(h).
-
-    Evaluating at t = -1 with g[k][n] = D^k(f_n)(-1) gives
-
-        g[k][n] = -sum_j C(k,j) * sum_a g[j][n-a],
-
-    with g[0][0] = 1 and g[k][0] = 0 for k >= 1.  Equality with sk_direct
-    is enforced by the test suite on randomized sets.
+    """Production route, one integer recurrence and no polynomials:
+    rows 0..k_max of _backend.sk_rows at t = -1 (its docstring derives
+    the recurrence).  Equality with sk_direct is enforced by the test
+    suite on randomized sets.
     """
     _check_kn(k_max, n_max)
     members = spec.members_up_to(n_max)
-    rows = sk_rows(members, k_max, n_max)
+    rows = sk_rows(members, k_max, n_max, -1)
     return SkGrid(spec, k_max, n_max, tuple(tuple(r) for r in rows))
 
 

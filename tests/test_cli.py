@@ -259,15 +259,15 @@ def test_unlocatable_identity_failure_exits_4(capsys, monkeypatch):
     # bug: the coefficient check finds nothing to report, and that must not
     # read as a counterexample.  The tables at t = 1 only size the
     # evaluation point, so the skew goes into the tables at that point
-    real = compositions.eval_table
+    real = compositions.sk_rows
 
-    def skewed(members, n_max, t):
-        values = list(real(members, n_max, t))
+    def skewed(members, k_max, n_max, t):
+        rows = real(members, k_max, n_max, t)
         if t != 1:
-            values[5] += 1
-        return values
+            rows[0][5] += 1
+        return rows
 
-    monkeypatch.setattr(compositions, "eval_table", skewed)
+    monkeypatch.setattr(compositions, "sk_rows", skewed)
     with pytest.raises(InternalError):
         compositions.verify_identities(parse_spec("{1,2,5}"), 20)
     code, out = run(capsys, "verify", "--suite", "section2", "-A", "{1,2,5}", "-N", "20")
@@ -710,6 +710,13 @@ _REFUSED = [
     ("verify --suite thm36 -B {1,3} -E {2}", "error: verify --suite thm36 does not read -E"),
     ("verify --suite union -A {1,3} -B {2,4} -m 4",
      "error: verify --suite union does not read -m"),
+    # a suite without its set or m; an empty set option counts as missing
+    ("verify --suite section2 -A ''", "error: verify --suite section2 needs -A"),
+    ("verify --suite prop33", "error: verify --suite prop33 needs -m"),
+    ("verify --suite thm34 -E ''", "error: verify --suite thm34 needs -E"),
+    ("verify --suite thm36", "error: verify --suite thm36 needs -B"),
+    ("verify --suite union -A {1,3}", "error: verify --suite union needs -A and -B"),
+    ("verify --suite union -A '' -B {2,4}", "error: verify --suite union needs -A and -B"),
     ("nonperiodic -p 1,1", "error: need degree >= 2"),
     ("nonperiodic -p 2,1,1", "error: need constant term 1"),
     ("nonperiodic -A {2,3} --precision 52",

@@ -210,20 +210,22 @@ def _read_off(chk, polys, odd_polys=None):
     chk._table = CompPolyTable(chk.spec, chk.upto, tuple(polys))
     if odd_polys is not None:
         chk._odd_polys = tuple(odd_polys)
-    real = compositions.eval_table
+    real = compositions.sk_rows
 
-    def values(members, n_max, t):
+    def values(members, k_max, n_max, t):
         if members is chk.members:
-            return [polys[n](t) for n in range(n_max + 1)]
-        if odd_polys is not None and members is chk.odd_members:
-            return [odd_polys[n](t) for n in range(n_max + 1)]
-        return real(members, n_max, t)
+            table = polys
+        elif odd_polys is not None and members is chk.odd_members:
+            table = odd_polys
+        else:
+            return real(members, k_max, n_max, t)
+        rows, fs = [], table[:n_max + 1]
+        for _ in range(k_max + 1):  # row k holds the values of D^k(f_n)
+            rows.append([f(t) for f in fs])
+            fs = [delta_op(f) for f in fs]
+        return rows
 
-    def delta_values(members, n_max, t, v):
-        return [delta_op(polys[n])(t) for n in range(n_max + 1)]
-
-    with mock.patch.object(compositions, "eval_table", values), \
-            mock.patch.object(compositions, "delta_eval_table", delta_values):
+    with mock.patch.object(compositions, "sk_rows", values):
         yield chk
 
 

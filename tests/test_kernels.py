@@ -2,8 +2,9 @@
 
 Each kernel in compsigns._backend is compared with ground truth from
 tests/oracles.py: products with the schoolbook product, count tables
-with compositions counted per multiset of parts, S_k rows with the
-alternating moment sums of those counts, series inverses by
+with compositions counted per multiset of parts, the value rows D^k(f_n)
+at several points t with the moment sums of those counts (at t = -1,
+the alternating sums S_k), series inverses by
 multiplying back to 1, and first_violation's test for all n by
 multiplying q by 1/(1 - x^d) term by term.
 """
@@ -45,6 +46,16 @@ def test_conv_matches_schoolbook_product():
         assert kernels.conv_trunc(a, b, order) == (full + [0] * order)[:order + 1]
 
 
+# points t for sk_rows: both signs, 0, and one past any machine word
+T_POINTS = (-2, -1, 0, 1, 3, 2**70)
+
+
+def _moment_values(counts, k_max, t):
+    """D^k(f_n) at t from the part counts: sum_i i^k * c(i, n) * t^i."""
+    return [[sum(i**k * c * t**i for i, c in tri.items()) for tri in counts]
+            for k in range(k_max + 1)]
+
+
 def test_tables_match_part_counts():
     rng = random.Random(502)
     for _ in range(25):
@@ -56,18 +67,17 @@ def test_tables_match_part_counts():
         for row, tri in zip(rows, counts):
             assert not row or row[-1]  # trailing zeros stripped
             assert {i: c for i, c in enumerate(row) if c} == tri
-        for t in (-2, -1, 1, 3):
-            vals = kernels.eval_table(members, n_max, t)
-            assert vals == [sum(c * t**i for i, c in tri.items()) for tri in counts]
-            assert (kernels.delta_eval_table(members, n_max, t, vals)
-                    == [sum(i * c * t**i for i, c in tri.items()) for tri in counts])
+        k_max = rng.randint(0, 3)
+        for t in T_POINTS:
+            assert kernels.sk_rows(members, k_max, n_max, t) == \
+                _moment_values(counts, k_max, t), (members, t)
 
 
 def test_sk_rows_match_alt_moment_sums():
     rng = random.Random(503)
     for _ in range(15):
         members = sorted(rng.sample(range(1, 10), rng.randint(1, 4)))
-        rows = kernels.sk_rows(members, 4, 40)
+        rows = kernels.sk_rows(members, 4, 40, -1)
         assert rows == [[alt_moment_sum(members, k, n, counts=triangle_counts_by_multiset)
                          for n in range(41)] for k in range(5)]
 
@@ -88,10 +98,14 @@ def test_comp_poly_rows_on_every_small_set():
     ([], 3, 12), ([], 0, 0), ([1, 2], 0, 40), ([4], 0, 0), ([2, 3, 7], 0, 25),
     ([5, 7], 2, 4), ([2, 9, 40], 3, 20), ([1, 30], 2, 12), ([3], 4, 2)])
 def test_sk_rows_edge_cases(members, k_max, n_max):
-    # the empty set, the S_0 row alone, and parts beyond the table size
-    assert kernels.sk_rows(members, k_max, n_max) == [
+    # the empty set, row 0 alone, and parts beyond the table size, at every
+    # point; at t = -1 the rows are the sums S_k(n)
+    assert kernels.sk_rows(members, k_max, n_max, -1) == [
         [alt_moment_sum(members, k, n, counts=triangle_counts_by_multiset)
          for n in range(n_max + 1)] for k in range(k_max + 1)]
+    counts = [triangle_counts_by_multiset(members, n) for n in range(n_max + 1)]
+    for t in T_POINTS:
+        assert kernels.sk_rows(members, k_max, n_max, t) == _moment_values(counts, k_max, t)
 
 
 def test_series_inverse_and_first_violation_match_oracles():
@@ -268,8 +282,8 @@ def test_toggled_part_keeps_the_word_below_it(case):
     # first violation below x carries to the set with x toggled
     members, x, horizon = case
     toggled = sorted(set(members) ^ {x})
-    assert kernels.sk_rows(members, 0, horizon)[0][:x] == \
-        kernels.sk_rows(toggled, 0, horizon)[0][:x]
+    assert kernels.sk_rows(members, 0, horizon, -1)[0][:x] == \
+        kernels.sk_rows(toggled, 0, horizon, -1)[0][:x]
     fv = kernels.first_violation(members, horizon)
     if 0 <= fv < x:
         assert kernels.first_violation(toggled, horizon) == fv
@@ -278,7 +292,7 @@ def test_toggled_part_keeps_the_word_below_it(case):
 def test_big_integer_counts():
     # counts grow fast; the kernels must stay on exact ints
     members = [1, 2, 3]
-    big = kernels.eval_table(members, 300, 1)
+    big = kernels.sk_rows(members, 0, 300, 1)[0]
     assert big == [sum(row) for row in kernels.comp_poly_rows(members, 300)]
     assert big[300] == sum(triangle_counts_by_multiset(members, 300).values())
     assert big[300] > 10**75  # growth rate ~1.839^n, far past float range
