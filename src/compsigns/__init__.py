@@ -21,6 +21,12 @@ class Record:
     repr; immutability; and a hash of the field values.  Fields are read
     from the annotations once per class and no code is generated, so a
     record class costs next to nothing to define.
+
+    ``to_json()`` is the one serializer of the JSON outputs: one key per
+    field.  A value with a ``to_json`` method (a nested record, a bigfloat
+    ``Real``, which gives its 32-digit string) becomes what that returns, a
+    tuple a list, and ``None``, a bool, an int or a str stays as it is.  A
+    record whose JSON differs from its fields overrides just that part.
     """
 
     _fields: tuple[str, ...] = ()
@@ -73,6 +79,17 @@ class Record:
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+    def to_json(self) -> dict:
+        return {f: _json(getattr(self, f)) for f in self._fields}
+
+
+def _json(value):
+    """A field value as JSON data, by the rules of ``Record.to_json``."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    to_json = getattr(value, "to_json", None)
+    return value if to_json is None else to_json()
 
 
 __all__ = ["BACKEND", "InternalError", "Record", "__version__"]

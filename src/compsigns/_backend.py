@@ -132,10 +132,14 @@ def first_violation(members: list, horizon: int) -> int:
     even n and s < 0 at odd n.  The last max(A) values slide through a
     window read by one fixed itemgetter (A has two or more parts here, so
     it returns a tuple), padded with zeros at the start (S_0 is 0 below 0).
+    Parts above the horizon touch no n <= horizon; they are dropped first,
+    so that they never size the window.
     """
+    if members and members[-1] > horizon:
+        members = [a for a in members if a <= horizon]
     d = members[0] if members else 1
     if d % 2 == 0:
-        return d if d <= horizon else -1
+        return d
     balance = [0] * d
     for a in members[1:]:
         balance[a % d] += 1 if a % 2 else -1

@@ -514,6 +514,10 @@ class Real:
     def nstr(self, digits):
         return to_str(self.raw, digits)
 
+    def to_json(self):
+        """The 32-digit string every JSON output prints a real as."""
+        return self.nstr(32)
+
     def __repr__(self):
         return f"Real('{to_str(self.raw, 20)}', {self.prec})"
 
@@ -590,6 +594,9 @@ class Complex:
     def __complex__(self):
         a, b = self.raw
         return complex(to_float(a), to_float(b))
+
+    def to_json(self):
+        return {"re": self.real.to_json(), "im": self.imag.to_json()}
 
     def __repr__(self):
         a, b = self.raw

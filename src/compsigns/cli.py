@@ -18,12 +18,16 @@ with ``os._exit`` and skips interpreter teardown, so ``atexit`` handlers
 never run.  ``main`` itself returns its exit code, for in-process callers.
 
 Output protocol: a handler returns its exit code and a list of
-``(filename, body)`` outputs, where a body is either the text itself or a
-callable ``body(write)`` that writes the text in pieces, so that a large
-output is never held whole.  ``main`` prints every output to stdout in
-order.  With ``--out DIR`` it creates DIR before the first byte is
-printed and tees each output into its file there while it keeps a running
-sha256 digest and byte count; a ``run_manifest.json`` then records the
+``(filename, body)`` outputs, where a body is the text itself, a callable
+``body(write)`` that writes the text in pieces, so that a large output is
+never held whole, or a dict of JSON data, most often a record's
+``to_json()``.  ``main`` prints every output to stdout in order;
+``_write_body`` is the one place that adds ``"schema"`` to a dict body
+and prints it as sorted, indented JSON (the streamed ``enumerate.json``
+writes its own schema key).  With ``--out DIR`` it creates DIR before
+the first byte is printed and tees each output into its file there
+while it keeps a running sha256 digest and byte count; a
+``run_manifest.json``, under a schema of its own, then records the
 command line, parameters, those digests and counts, tool version and
 wall-clock time (the manifest is metadata; the determinism promise covers
 the primary files).  Outputs are emitted under the same exit-code rules
@@ -291,7 +295,7 @@ def _json_text(blob: dict) -> str:
 
 
 # each handler returns (exit_code, [(filename, body), ...]), a body being
-# a str or a callable body(write); see the module docstring
+# a str, a callable body(write) or a dict; see the module docstring
 
 
 def _cmd_counts(args):
@@ -344,9 +348,7 @@ def _cmd_signs(args):
             p, t = (int(x) for x in args.detect.split(","))
         except ValueError:
             raise SpecError(f"--detect wants P,T integers, got {args.detect!r}")
-        finding = detect_period(word, p, t)
-        blob = {"schema": SCHEMA, **finding.to_json()}
-        out.append(("finding.json", _json_text(blob)))
+        out.append(("finding.json", detect_period(word, p, t).to_json()))
     return 0, out
 
 
@@ -428,9 +430,8 @@ def _cmd_nonperiodic(args):
         except ValueError:
             raise SpecError(f"-p wants comma-separated integers, got {args.p!r}")
         report = check_nonperiodic(IntPoly(coeffs), args.exact)
-    blob = {"schema": SCHEMA, **report.to_json()}
     code = 0 if report.verdict == NOT_EVENTUALLY_PERIODIC else 2
-    return code, [("report.json", _json_text(blob))]
+    return code, [("report.json", report.to_json())]
 
 
 def _cmd_enumerate(args):
@@ -450,13 +451,8 @@ def _cmd_construct(args):
 
     base = parse_spec(args.B)
     a = construct_distinct_subset_sums(base)
-    blob = {
-        "schema": SCHEMA,
-        "base": str(base),
-        "set": list(a.data),
-        "size": len(a.data),
-    }
-    return 0, [("construct.json", _json_text(blob))]
+    return 0, [("construct.json", {"base": str(base), "set": list(a.data),
+                                   "size": len(a.data)})]
 
 
 def _cmd_experiment(args):
@@ -467,17 +463,8 @@ def _cmd_experiment(args):
     if args.horizon < 1:
         raise SpecError("horizon must be >= 1")
     probe = repunit_extension_experiment(args.m, args.horizon)
-    blob = {
-        "schema": SCHEMA,
-        "m": probe.m,
-        "horizon": probe.horizon,
-        "members": list(probe.members),
-        "first_violation": probe.first_violation,
-        "passed": probe.passed,
-        "note": probe.note,
-    }
     code = 0 if probe.passed else 1
-    return code, [("experiment.json", _json_text(blob))]
+    return code, [("experiment.json", {**probe.to_json(), "passed": probe.passed})]
 
 
 _HANDLERS = {
@@ -494,7 +481,9 @@ _HANDLERS = {
 
 
 def _write_body(body, write) -> None:
-    if isinstance(body, str):
+    if isinstance(body, dict):  # the one place a JSON output gets its schema
+        write(_json_text({"schema": SCHEMA, **body}))
+    elif isinstance(body, str):
         write(body)
     else:
         body(write)

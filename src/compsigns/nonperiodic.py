@@ -110,11 +110,17 @@ def residual_target(precision: int) -> float:
 
 
 # every root, modulus and distance is a bigfloat Real or Complex at the
-# working precision, floating point on Python ints
+# working precision, floating point on Python ints; a Complex field prints
+# as its "re" and "im" keys
 class Root(Record):
     value: Complex
     multiplicity: int
-    residual: Real
+    residual_bound: Real
+
+    def to_json(self) -> dict:
+        data = super().to_json()
+        data.update(data.pop("value"))
+        return data
 
 
 class RootProfile(Record):
@@ -132,6 +138,11 @@ class DominantInfo(Record):
     modulus: Real
     multiplicity: int
     relative_gap: Real    # to the nearest other cluster; inf if none
+
+    def to_json(self) -> dict:
+        data = super().to_json()
+        data.update(data.pop("root"))
+        return data
 
 
 class ZetaTest(Record):
@@ -159,62 +170,21 @@ class NonPeriodicityReport(Record):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        def num(x):
-            return x.nstr(32)
-
-        roots_json = None
-        if self.profile is not None:
-            roots_json = [
-                {
-                    "re": num(r.value.real),
-                    "im": num(r.value.imag),
-                    "multiplicity": r.multiplicity,
-                    "residual_bound": num(r.residual),
-                }
-                for r in self.profile.roots
-            ]
-        dom = None
-        if self.dominant is not None:
-            dom = {
-                "re": num(self.dominant.root.real),
-                "im": num(self.dominant.root.imag),
-                "modulus": num(self.dominant.modulus),
-                "multiplicity": self.dominant.multiplicity,
-                "relative_gap": num(self.dominant.relative_gap),
-            }
-        zeta = None
-        if self.zeta_test is not None:
-            zeta = {
-                "degree_bound": self.zeta_test.degree_bound,
-                "orders_checked": self.zeta_test.orders_checked,
-                "min_distance": num(self.zeta_test.min_distance),
-                "min_at_order": self.zeta_test.min_at_order,
-            }
-        exact = None
-        if self.exact_test is not None:
-            exact = {
-                "ratio_degree": self.exact_test.ratio_degree,
-                "orders_checked": self.exact_test.orders_checked,
-                "divisor_order": self.exact_test.divisor_order,
-            }
-        return {
-            "poly": [str(c) for c in self.poly.coeffs],
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "notes": list(self.notes),
-            "roots": roots_json,
-            "dominant": dom,
-            "zeta_test": zeta,
-            "exact_test": exact,
-            "config": {
-                "precision": PRECISION,
-                "residual_tol": residual_target(PRECISION),
-                "gap_tol": MIN_GAP,
-                "unity_tol": MIN_UNITY_DISTANCE,
-                "exact": self.exact,
-                "exact_max_degree": EXACT_DEGREE_CAP,
-            },
+        """The fields, with the coefficients as decimal strings, the
+        profile's roots alone, and the run's settings in ``config``."""
+        data = super().to_json()
+        profile = data.pop("profile")
+        data["poly"] = [str(c) for c in self.poly.coeffs]
+        data["roots"] = None if profile is None else profile["roots"]
+        data["config"] = {
+            "precision": PRECISION,
+            "residual_tol": residual_target(PRECISION),
+            "gap_tol": MIN_GAP,
+            "unity_tol": MIN_UNITY_DISTANCE,
+            "exact": data.pop("exact"),
+            "exact_max_degree": EXACT_DEGREE_CAP,
         }
+        return data
 
 
 # -- inputs -------------------------------------------------------------------

@@ -84,13 +84,11 @@ class PeriodFinding(Record):
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "preperiod": self.preperiod,
-            "period": self.period,
-            "pattern": None if self.pattern is None else
-            "".join(_SIGN_CHARS[s] for s in self.pattern),
-            "verdict": self.verdict,
-        }
+        """The fields, with the pattern written as render() writes a word."""
+        data = super().to_json()
+        if self.pattern is not None:
+            data["pattern"] = "".join(_SIGN_CHARS[s] for s in self.pattern)
+        return data
 
 
 def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
@@ -128,15 +126,15 @@ def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
 # -- closed-form pattern checks ----------------------------------------------
 
 
-def range_block(m: int) -> tuple[int, ...]:
-    """Repeating block of the k=0 normalized word for the part-set {1..m}:
+def range_block(m: int, length: int) -> tuple[int, ...]:
+    """The first ``length`` symbols (at most the whole block) of the
+    repeating block of the k=0 normalized word for the part-set {1..m}:
     (1, 1, 0_{m-1}) for odd m, (1, 1, 0_{m-1}, -1, -1, 0_{m-1}) for even m."""
     if m < 1:
         raise SpecError("m must be >= 1")
-    zeros = (0,) * (m - 1)
-    if m % 2 == 1:
-        return (1, 1) + zeros
-    return (1, 1) + zeros + (-1, -1) + zeros
+    size = min(length, (m + 1) * (2 - m % 2))
+    # each run of m + 1 symbols opens with two signs: + in run 0, - in run 1
+    return tuple(((1 if r <= m else -1) if r % (m + 1) < 2 else 0) for r in range(size))
 
 
 class PatternCheck(Record):
@@ -145,13 +143,14 @@ class PatternCheck(Record):
     passed: bool
     first_mismatch: int | None
     word: SignWord
-    expected_block: tuple[int, ...]
+    expected_block: tuple[int, ...]  # the block's first upto + 1 symbols at most
 
 
 def check_range_set_pattern(m: int, upto: int) -> PatternCheck:
     """Compare the computed k=0 normalized word of {1..m} with its
-    closed-form block, from n = 0 (no preperiod)."""
-    block = range_block(m)
+    closed-form block, from n = 0 (no preperiod).  The block is built only
+    as far as the word reaches, so that a large m costs nothing extra."""
+    block = range_block(m, upto + 1)
     word = sign_word(sk_fast(SetSpec(sets.RANGE, (m,)), 0, upto), 0, normalized=True)
     mismatch = None
     for n, s in enumerate(word.symbols):

@@ -490,6 +490,22 @@ def test_scan_reports_keep_their_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the JSON outputs that Record.to_json or a dict
+# body prints, recorded while each handler still built its JSON by hand
+@pytest.mark.parametrize("argv, digest", [
+    (("signs", "-A", "{1,2}", "-k", "0", "-N", "60", "--normalized", "--detect", "5,10"),
+     "2894ee0b944a481e1235474dfb361abca8fed11f8a1472755aa817418164e264"),
+    (("signs", "-A", "{2,3}", "-k", "0", "-N", "200", "--normalized", "--detect", "20,60"),
+     "0f85308cbb16cc8a1aabe47b1daf0c959851b6c5fbc1282f5824ebdd08618176"),
+    (("construct", "--thm36", "-B", "{1,3,7}"),
+     "c8f466e056732394238320657291569877e1d15ad0d50cd09f2f8a8b087a162e"),
+], ids=["consistent", "no-period", "construct"])
+def test_json_reports_keep_their_bytes(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
 def test_coefficient_too_large_for_a_double(capsys):
     big = str(10**400)
     code, out = run(capsys, "nonperiodic", "-p", f"1,{big},1")

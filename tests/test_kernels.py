@@ -135,6 +135,21 @@ def test_first_violation_matches_reference_on_every_small_set():
                     == first_violation_reference(members, horizon)), (members, horizon)
 
 
+def test_parts_above_the_horizon_change_nothing():
+    # a part h + j reaches no n <= h, and it must not size the window:
+    # one above a billion would ask for a window of that size
+    rng = random.Random(505)
+    for _ in range(200):
+        members = sorted(rng.sample(range(1, 13), rng.randint(0, 5)))
+        h = rng.randint(max(members, default=1), 40)
+        for j in (1, 2, rng.randint(3, 50), 10**9):
+            assert (kernels.first_violation(members + [h + j], h)
+                    == kernels.first_violation(members, h)), (members, h, j)
+    # one part left below the horizon: odd, so never a violation
+    assert kernels.first_violation([3, 10**9], 100) == -1
+    assert kernels.first_violation([2, 10**9], 100) == 2
+
+
 class _WindowStarted(Exception):
     pass
 

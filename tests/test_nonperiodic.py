@@ -72,7 +72,7 @@ def test_roots_linear():
     root = prof.roots[0]
     assert root.value == 1
     assert root.multiplicity == 1
-    assert root.residual == 0
+    assert root.residual_bound == 0
 
 
 def test_roots_pure_imaginary_pair():
@@ -117,7 +117,7 @@ def test_roots_residual_invariant_random():
             values = [as_mpmath(r.value) for r in prof.roots]
             pairs = {(z.real, z.imag) for z in values}
             for r, z in zip(prof.roots, values):
-                assert as_mpmath(r.residual) <= tol * (1 + abs(z)) ** p.degree
+                assert as_mpmath(r.residual_bound) <= tol * (1 + abs(z)) ** p.degree
                 assert (z.real, -z.imag) in pairs
 
 

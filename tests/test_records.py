@@ -1,12 +1,13 @@
 """The record contract shared by every compsigns record class: field order
 and defaults, argument checking, __post_init__ checks, equality, hashing,
-frozen-ness and repr."""
+frozen-ness, repr, and the JSON data of to_json."""
 
 from fractions import Fraction
 
 import pytest
 
 from compsigns import Record
+from compsigns.bigfloat import Complex, Real
 from compsigns.compositions import (
     CompPolyTable,
     IdentityFailure,
@@ -65,7 +66,7 @@ SAMPLES = {
     EnumerationResult: dict(n=2, horizon=8, count=3, first_violations=(None, 5, None, None),
                             note="x"),
     RepunitProbe: dict(m=4, horizon=100, members=(1, 4, 5), first_violation=None, note="z"),
-    Root: dict(value=0.5 + 1j, multiplicity=1, residual=1e-30),
+    Root: dict(value=0.5 + 1j, multiplicity=1, residual_bound=1e-30),
     RootProfile: dict(poly=P, precision=64, roots=()),
     DominantInfo: dict(root=0.5 + 1j, modulus=1.25, multiplicity=1, relative_gap=0.1),
     ZetaTest: dict(degree_bound=4, orders_checked=9, min_distance=0.3, min_at_order=6),
@@ -147,3 +148,32 @@ def test_record_contract(cls):
 
     shown = ", ".join(f"{k}={v!r}" for k, v in sample.items())
     assert repr(rec) == f"{cls.__name__}({shown})"
+
+
+def test_to_json_maps_each_field_by_its_rules():
+    # one key per field: a Real becomes its 32-digit string, a tuple a
+    # list, a nested record its own to_json(), and None, bools, ints and
+    # strings stay as they are
+    tenth = Real.of(0.1, 256)
+    assert ZetaTest(4, 9, tenth, 6).to_json() == {
+        "degree_bound": 4, "orders_checked": 9,
+        "min_distance": "0.10000000000000000555111512312578", "min_at_order": 6}
+    assert ExactUnityTest(4, 9, None).to_json() == {
+        "ratio_degree": 4, "orders_checked": 9, "divisor_order": None}
+    assert RepunitProbe(4, 100, (1, 4, 5), None, "z").to_json() == {
+        "m": 4, "horizon": 100, "members": [1, 4, 5], "first_violation": None, "note": "z"}
+    assert OddSetCheck(S, 20, 2, None, (1, 5), False).to_json() == {
+        "set": {"kind": "explicit", "data": [1, 2], "horizon": 50},
+        "upto": 20, "k_max": 2, "count_identity_mismatch": None,
+        "negative_at": [1, 5], "passed": False}
+    assert SkGrid(S, 0, 2, ((1, -1, 2),)).to_json()["values"] == [[1, -1, 2]]
+    # the overrides: a Complex spreads into re and im, a pattern prints
+    # as a word does
+    root = Root(Complex.of(0.5 + 1j, 256), 2, tenth)
+    half, one = Real.of(0.5, 256).nstr(32), Real.of(1, 256).nstr(32)
+    assert root.to_json() == {"re": half, "im": one, "multiplicity": 2,
+                              "residual_bound": tenth.nstr(32)}
+    assert RootProfile(P, 64, (root,)).to_json()["roots"] == [root.to_json()]
+    assert F.to_json() == {"preperiod": 0, "period": 3, "pattern": "+0-",
+                           "verdict": "ConsistentAtHorizon"}
+    assert PeriodFinding(None, None, None, "NoPeriodFound").to_json()["pattern"] is None

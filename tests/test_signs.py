@@ -123,17 +123,22 @@ def test_period_finding_json():
 
 
 def test_range_block():
-    assert range_block(3) == (1, 1, 0, 0)
-    assert range_block(2) == (1, 1, 0, -1, -1, 0)
-    assert range_block(1) == (1, 1)
+    assert range_block(3, 4) == (1, 1, 0, 0)
+    assert range_block(2, 6) == (1, 1, 0, -1, -1, 0)
+    assert range_block(1, 2) == (1, 1)
+    assert range_block(4, 7) == (1, 1, 0, 0, 0, -1, -1)
+    assert range_block(2, 100) == range_block(2, 6)
     with pytest.raises(ValueError):
-        range_block(0)
+        range_block(0, 1)
 
 
 def test_check_range_set_pattern():
     for m in (1, 2, 3, 4, 5, 7, 8):
         res = check_range_set_pattern(m, 120)
         assert res.passed, (m, res.first_mismatch)
+    # a large m builds the block only as far as the word reaches
+    res = check_range_set_pattern(10**6, 10)
+    assert res.passed and res.expected_block == (1, 1) + (0,) * 9
     # odd m: no -1 for higher k either
     for m in (3, 5):
         grid = sk_fast(parse_spec(f"1..{m}@100"), 4, 100)
