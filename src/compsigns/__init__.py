@@ -5,6 +5,8 @@ from ._backend import BACKEND
 
 __version__ = "0.1.0"
 
+SCHEMA = "compsigns/1"  # the "schema" key of every JSON output but the run manifest
+
 
 class InternalError(RuntimeError):
     """A broken internal invariant: a bug in compsigns, never bad input
@@ -92,4 +94,4 @@ def _json(value):
     return value if to_json is None else to_json()
 
 
-__all__ = ["BACKEND", "InternalError", "Record", "__version__"]
+__all__ = ["BACKEND", "InternalError", "Record", "SCHEMA", "__version__"]

@@ -53,7 +53,7 @@ import sys
 import time
 from types import SimpleNamespace  # already loaded by runpy, or by re in the console script
 
-from . import InternalError, __version__
+from . import SCHEMA, InternalError, __version__
 from .sets import DEFAULT_HORIZON, SetSpec, SpecError, parse_spec
 
 # each handler imports the capability modules it runs, and stdlib modules
@@ -64,9 +64,11 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from pathlib import Path
 
-SCHEMA = "compsigns/1"
-
 _OUT = {"--out": dict(metavar="DIR", help="also write files + run manifest here")}
+
+# every verify suite, with the set and m options it reads and needs; it
+# refuses the others
+_SUITE_READS = {"section2": "A", "prop33": "m", "thm34": "E", "thm36": "B", "union": "AB"}
 
 # every subcommand: (help, {flag: options}), the options in argparse's own
 # keywords, so that a test can build the argparse parser this one must match
@@ -94,8 +96,7 @@ _COMMANDS = {
         "--detect": dict(metavar="P,T", help="scan for (preperiod <= P, period <= T)"),
         **_OUT}),
     "verify": ("run one verification suite", {
-        "--suite": dict(required=True,
-                        choices=["section2", "prop33", "thm34", "thm36", "union"]),
+        "--suite": dict(required=True, choices=list(_SUITE_READS)),
         "-A": dict(metavar="SET"),
         "-B": dict(metavar="SET"),
         "-E": dict(metavar="SET"),
@@ -334,7 +335,7 @@ def _cmd_sk(args):
 
 
 def _cmd_signs(args):
-    from .signs import detect_period, sign_word
+    from .signs import detect_period, render, sign_word
     from .sums import sk_fast
 
     if args.k < 0:  # before sk_fast, whose message would name -K
@@ -342,7 +343,7 @@ def _cmd_signs(args):
     spec = _spec(args.A, args.N)
     grid = sk_fast(spec, args.k, args.N)
     word = sign_word(grid, args.k, normalized=args.normalized)
-    out = [("word.txt", word.render() + "\n")]
+    out = [("word.txt", render(word) + "\n")]
     if args.detect:
         try:
             p, t = (int(x) for x in args.detect.split(","))
@@ -350,10 +351,6 @@ def _cmd_signs(args):
             raise SpecError(f"--detect wants P,T integers, got {args.detect!r}")
         out.append(("finding.json", detect_period(word, p, t).to_json()))
     return 0, out
-
-
-# the set and m options each verify suite reads and needs; it refuses the others
-_SUITE_READS = {"section2": "A", "prop33": "m", "thm34": "E", "thm36": "B", "union": "AB"}
 
 
 def _cmd_verify(args):
@@ -442,7 +439,7 @@ def _cmd_enumerate(args):
     if args.N < 0:  # before the library, whose message names n
         raise SpecError("N must be non-negative")
     res = enumerate_F(args.N, args.horizon)
-    return 0, [("enumerate.json", lambda write: enumeration_json(res, write, SCHEMA)),
+    return 0, [("enumerate.json", lambda write: enumeration_json(res, write)),
                ("verdicts.csv", lambda write: verdicts_csv(res, write))]
 
 

@@ -33,8 +33,6 @@ IDENTITY_NAMES = ("recurrence_weight", "reflection", "parity", "delta_q", "delta
 class CompPolyTable(Record):
     """Immutable table of composition polynomials f_0 .. f_upto."""
 
-    set: SetSpec
-    upto: int
     polys: tuple[IntPoly, ...]
 
     def __getitem__(self, n: int) -> IntPoly:
@@ -56,7 +54,7 @@ def comp_polys(spec: SetSpec, upto: int) -> CompPolyTable:
     """Build the composition-polynomial table for n = 0 .. upto."""
     members = spec.members_up_to(upto)
     rows = comp_poly_rows(members, upto)
-    return CompPolyTable(spec, upto, tuple(IntPoly(tuple(r)) for r in rows))
+    return CompPolyTable(tuple(IntPoly(tuple(r)) for r in rows))
 
 
 def comp_counts(spec: SetSpec, upto: int) -> list[int]:
@@ -143,9 +141,6 @@ class IdentityFailure(Record):
 
 
 class IdentityReport(Record):
-    set: SetSpec
-    upto: int
-    method: str
     results: dict[str, IdentityFailure | None]
 
     @property
@@ -391,7 +386,7 @@ def verify_identities(spec: SetSpec, upto: int, method: str = "eval") -> Identit
     else:
         results.update((name, chk.check_coeff(name))
                        for name in ("reflection", "parity", "delta_self"))
-    return IdentityReport(spec, upto, method, results)
+    return IdentityReport(results)
 
 
 # -- plain-text exports -------------------------------------------------------

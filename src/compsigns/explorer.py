@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import Record
+from . import SCHEMA, Record
 from ._backend import first_violation, series_inv_int, sk_rows
 from .sets import COFINITE, EXPLICIT, REPUNIT, SetSpec, SpecError, e_prime, explicit
 
@@ -251,14 +251,14 @@ _CLOSE = "\n    }"
 _ITEM = ",\n        "
 
 
-def enumeration_json(result: EnumerationResult, write, schema: str) -> None:
+def enumeration_json(result: EnumerationResult, write) -> None:
     """Write enumerate.json through ``write``, byte for byte what
     ``json.dumps(blob, indent=2, sort_keys=True) + "\\n"`` prints for the
     scan's blob, one block of 2^_CHUNK_BITS masks per call."""
     import json
 
     header = {"count": result.count, "horizon": result.horizon, "n": result.n,
-              "note": result.note, "schema": schema}
+              "note": result.note, "schema": SCHEMA}
     write("{\n" + "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n"
                            for k, v in sorted(header.items()))
           + '  "verdicts": [')

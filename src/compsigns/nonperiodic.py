@@ -123,16 +123,6 @@ class Root(Record):
         return data
 
 
-class RootProfile(Record):
-    poly: IntPoly
-    precision: int
-    roots: tuple[Root, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
-
-
 class DominantInfo(Record):
     root: Complex         # the member of the pair with positive imaginary part
     modulus: Real
@@ -163,19 +153,18 @@ class NonPeriodicityReport(Record):
     exact: bool           # whether the exact unity tier was asked for
     verdict: str
     reasons: tuple[str, ...]
-    profile: RootProfile | None = None
+    roots: tuple[Root, ...] | None = None
     dominant: DominantInfo | None = None
     zeta_test: ZetaTest | None = None
     exact_test: ExactUnityTest | None = None
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        """The fields, with the coefficients as decimal strings, the
-        profile's roots alone, and the run's settings in ``config``."""
+        """The fields, with the coefficients as decimal strings and the
+        run's settings in ``config``; ``roots`` prints as the generic
+        ``Record.to_json`` writes it."""
         data = super().to_json()
-        profile = data.pop("profile")
         data["poly"] = [str(c) for c in self.poly.coeffs]
-        data["roots"] = None if profile is None else profile["roots"]
         data["config"] = {
             "precision": PRECISION,
             "residual_tol": residual_target(PRECISION),
@@ -285,7 +274,7 @@ def _enforce_conjugates(roots: list[Complex], target: Real) -> list[Complex]:
     return out
 
 
-def roots_numeric(p: IntPoly, precision: int = PRECISION) -> RootProfile:
+def roots_numeric(p: IntPoly, precision: int = PRECISION) -> tuple[Root, ...]:
     """All complex roots of p with exact multiplicities.
 
     Multiplicity structure comes from the exact square-free decomposition,
@@ -310,7 +299,7 @@ def roots_numeric(p: IntPoly, precision: int = PRECISION) -> RootProfile:
                     f"{r.real.nstr(8)} + {r.imag.nstr(8)}i")
             found.append(Root(r, mult, res))
     found.sort(key=lambda rt: (rt.value.real, rt.value.imag))
-    return RootProfile(p, precision, tuple(found))
+    return tuple(found)
 
 
 # -- the certificate ----------------------------------------------------------
@@ -326,7 +315,7 @@ def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
     if p.degree > ROOT_DEGREE_CAP:
         return NonPeriodicityReport(p, exact, INCONCLUSIVE, (REASON_DEGREE,))
     try:
-        profile = roots_numeric(p)
+        roots = roots_numeric(p)
     except RootConvergenceError:
         return NonPeriodicityReport(
             p, exact, INCONCLUSIVE, (REASON_CONVERGENCE,))
@@ -337,7 +326,7 @@ def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
     # a conjugate pair shares its modulus exactly, so group by modulus:
     # the tight window collects roots at the minimal modulus, the gap
     # test measures everything outside it
-    moduli = [abs(r.value) for r in profile.roots]
+    moduli = [abs(r.value) for r in roots]
     dom_mod = min(moduli)
     tight = 2 * tol * (1 + dom_mod)
     dom_group = [i for i, m in enumerate(moduli) if m - dom_mod <= tight]
@@ -348,13 +337,13 @@ def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
     dominant = None
     pair_ok = False
     if len(dom_group) == 2:
-        r0, r1 = (profile.roots[i] for i in dom_group)
+        r0, r1 = (roots[i] for i in dom_group)
         if r0.value.imag != 0 and r0.value == r1.value.conjugate():
             upper = r0.value if r0.value.imag > 0 else r1.value
             dominant = DominantInfo(upper, dom_mod, r0.multiplicity, rel_gap)
             pair_ok = True
     if not pair_ok:
-        only_real = all(profile.roots[i].value.imag == 0 for i in dom_group)
+        only_real = all(roots[i].value.imag == 0 for i in dom_group)
         reasons.append(REASON_DOMINANT_REAL if only_real
                        else REASON_DOMINANT_AMBIGUOUS)
 
@@ -390,7 +379,7 @@ def check_nonperiodic(p: IntPoly, exact: bool = False) -> NonPeriodicityReport:
 
     verdict = NOT_EVENTUALLY_PERIODIC if not reasons else INCONCLUSIVE
     return NonPeriodicityReport(p, exact, verdict, tuple(reasons),
-                                profile, dominant, zeta_test, exact_test,
+                                roots, dominant, zeta_test, exact_test,
                                 tuple(notes))
 
 

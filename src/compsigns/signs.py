@@ -1,7 +1,8 @@
 """Sign words of the alternating sums and horizon-limited periodicity.
 
-A sign word is the sequence of signs of one grid row, usually normalized
-by (-1)^n (the natural frame in which the closed-form patterns live).
+A sign word is a plain tuple over {-1, 0, +1}: the signs of one grid
+row, usually normalized by (-1)^n (the natural frame in which the
+closed-form patterns live).  render writes it over {+, 0, -}.
 detect_period reports the lexicographically minimal (preperiod, period)
 consistent with the observed word; it never claims more than consistency
 at the horizon; certified non-periodicity lives in `nonperiodic`.
@@ -33,40 +34,17 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-class SignWord(Record):
-    """Word over {-1, 0, +1} with provenance metadata."""
-
-    symbols: tuple[int, ...]
-    set: SetSpec | None = None
-    k: int = 0
-    normalized: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
-            raise ValueError("a sign word needs at least one symbol")
-        for s in self.symbols:
-            if s not in (-1, 0, 1):
-                raise ValueError(f"bad sign symbol {s!r}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, n: int) -> int:
-        return self.symbols[n]
-
-    def render(self) -> str:
-        """String over {+, 0, -}, index n = symbol n."""
-        return "".join(_SIGN_CHARS[s] for s in self.symbols)
+def render(word: tuple[int, ...]) -> str:
+    """A sign word as a string over {+, 0, -}, index n = symbol n."""
+    return "".join(_SIGN_CHARS[s] for s in word)
 
 
-def sign_word(grid: SkGrid, k: int, normalized: bool = True) -> SignWord:
+def sign_word(grid: SkGrid, k: int, normalized: bool = True) -> tuple[int, ...]:
     """Sign word of row k: sign((-1)^n * S) if normalized, else sign(S)."""
     if not 0 <= k <= grid.K:
         raise ValueError(f"k={k} outside grid rows 0..{grid.K}")
     row = grid.normalized(k) if normalized else grid.row(k)
-    syms = tuple(_sign(v) for v in row)
-    return SignWord(syms, grid.set, k, normalized)
+    return tuple(_sign(v) for v in row)
 
 
 class PeriodFinding(Record):
@@ -87,11 +65,11 @@ class PeriodFinding(Record):
         """The fields, with the pattern written as render() writes a word."""
         data = super().to_json()
         if self.pattern is not None:
-            data["pattern"] = "".join(_SIGN_CHARS[s] for s in self.pattern)
+            data["pattern"] = render(self.pattern)
         return data
 
 
-def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
+def detect_period(word: tuple[int, ...], max_pre: int, max_t: int) -> PeriodFinding:
     """Smallest (preperiod, period) consistent with the whole word.
 
     For each candidate period T the minimal feasible preperiod is
@@ -102,8 +80,7 @@ def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
     """
     if max_pre < 0 or max_t < 1:
         raise SpecError("need max_pre >= 0 and max_t >= 1")
-    symbols = word.symbols
-    length = len(symbols)
+    length = len(word)
     if max_pre + 2 * max_t > length:
         raise SpecError(
             f"word of length {length} too short for max_pre={max_pre}, "
@@ -112,7 +89,7 @@ def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
     for t in range(1, max_t + 1):
         pre = 0
         for n in range(length - 1, t - 1, -1):
-            if symbols[n] != symbols[n - t]:
+            if word[n] != word[n - t]:
                 pre = n - t + 1
                 break
         if pre <= max_pre and (best is None or (pre, t) < best):
@@ -120,7 +97,7 @@ def detect_period(word: SignWord, max_pre: int, max_t: int) -> PeriodFinding:
     if best is None:
         return PeriodFinding(None, None, None, NO_PERIOD)
     pre, t = best
-    return PeriodFinding(pre, t, symbols[pre:pre + t], CONSISTENT)
+    return PeriodFinding(pre, t, word[pre:pre + t], CONSISTENT)
 
 
 # -- closed-form pattern checks ----------------------------------------------
@@ -142,7 +119,6 @@ class PatternCheck(Record):
     upto: int
     passed: bool
     first_mismatch: int | None
-    word: SignWord
     expected_block: tuple[int, ...]  # the block's first upto + 1 symbols at most
 
 
@@ -153,11 +129,11 @@ def check_range_set_pattern(m: int, upto: int) -> PatternCheck:
     block = range_block(m, upto + 1)
     word = sign_word(sk_fast(SetSpec(sets.RANGE, (m,)), 0, upto), 0, normalized=True)
     mismatch = None
-    for n, s in enumerate(word.symbols):
+    for n, s in enumerate(word):
         if s != block[n % len(block)]:
             mismatch = n
             break
-    return PatternCheck(m, upto, mismatch is None, mismatch, word, block)
+    return PatternCheck(m, upto, mismatch is None, mismatch, block)
 
 
 class OddSetCheck(Record):

@@ -36,7 +36,6 @@ class IntegralityError(InternalError):
 class SkGrid(Record):
     """Immutable (K+1) x (N+1) table, row-major in k: values[k][n] = S_k(n)."""
 
-    set: SetSpec
     K: int
     N: int
     values: tuple[tuple[int, ...], ...]
@@ -63,7 +62,7 @@ def sk_direct(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
     for _ in range(k_max):
         terms = [[i * c for i, c in enumerate(t)] for t in terms]
         rows.append(tuple(map(sum, terms)))
-    return SkGrid(spec, k_max, n_max, tuple(rows))
+    return SkGrid(k_max, n_max, tuple(rows))
 
 
 def sk_fast(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
@@ -75,7 +74,7 @@ def sk_fast(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
     _check_kn(k_max, n_max)
     members = spec.members_up_to(n_max)
     rows = sk_rows(members, k_max, n_max, -1)
-    return SkGrid(spec, k_max, n_max, tuple(tuple(r) for r in rows))
+    return SkGrid(k_max, n_max, tuple(tuple(r) for r in rows))
 
 
 def sk_via_q(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
@@ -95,7 +94,7 @@ def sk_via_q(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
     base = sk_fast(spec, 0, n_max).row(0)
     if spec.is_empty:
         zero = (0,) * (n_max + 1)
-        return SkGrid(spec, k_max, n_max, (tuple(base),) + (zero,) * k_max)
+        return SkGrid(k_max, n_max, (tuple(base),) + (zero,) * k_max)
     m, Q = q_series_scaled(spec, n_max)
     powers = [m**i for i in range(n_max + 2)]
     rows = [tuple(base)]
@@ -114,7 +113,7 @@ def sk_via_q(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
             nxt.append(val)
         rows.append(tuple(nxt))
         prev = nxt
-    return SkGrid(spec, k_max, n_max, tuple(rows))
+    return SkGrid(k_max, n_max, tuple(rows))
 
 
 def sk_via_conv(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
@@ -128,7 +127,7 @@ def sk_via_conv(spec: SetSpec, k_max: int, n_max: int) -> SkGrid:
         # with S_{k-j}(0), ..., S_{k-j}(n-1)
         rows.append(tuple(sum(c * sum(map(mul, u[n:0:-1], v[:n])) for c, u, v in pairs)
                           for n in range(n_max + 1)))
-    return SkGrid(spec, k_max, n_max, tuple(rows))
+    return SkGrid(k_max, n_max, tuple(rows))
 
 
 ROUTES = {

@@ -155,9 +155,9 @@ def test_c09_certifier():
     p23 = denom_poly(parse_spec("{2,3}"))
     p14 = denom_poly(parse_spec("{1,4}"))
 
-    prof = roots_numeric(p23)
-    reals = [as_mpmath(r.value) for r in prof.roots if r.value.imag == 0]
-    uppers = [as_mpmath(r.value) for r in prof.roots if r.value.imag > 0]
+    roots = roots_numeric(p23)
+    reals = [as_mpmath(r.value) for r in roots if r.value.imag == 0]
+    uppers = [as_mpmath(r.value) for r in roots if r.value.imag > 0]
     assert len(reals) == 1 and len(uppers) == 1
     assert abs(reals[0] - mp.mpf("-1.4656")) < 5e-4
     assert abs(uppers[0].real - mp.mpf("0.2328")) < 5e-4

@@ -70,7 +70,7 @@ def test_sk_route_disagreement_exits_4(capsys, monkeypatch):
         grid = sk_fast(spec, k_max, n_max)
         rows = [list(r) for r in grid.values]
         rows[0][2] += 1
-        return SkGrid(grid.set, grid.K, grid.N, tuple(tuple(r) for r in rows))
+        return SkGrid(grid.K, grid.N, tuple(tuple(r) for r in rows))
 
     monkeypatch.setitem(sums.ROUTES, "fast", tampered)
     code, out = run(capsys, "sk", "-A", "{1,2}", "-K", "1", "-N", "6",
@@ -499,7 +499,13 @@ def test_scan_reports_keep_their_bytes(capsys, argv, digest):
      "0f85308cbb16cc8a1aabe47b1daf0c959851b6c5fbc1282f5824ebdd08618176"),
     (("construct", "--thm36", "-B", "{1,3,7}"),
      "c8f466e056732394238320657291569877e1d15ad0d50cd09f2f8a8b087a162e"),
-], ids=["consistent", "no-period", "construct"])
+    # raw sign words, the signs of S itself without --normalized, recorded
+    # while a sign word was still a record of its own
+    (("signs", "-A", "{2,3}", "-k", "1", "-N", "80"),
+     "b4ded267716468733765d9aa6eaf44852e873a0925deb3b97b748e643b3cba0f"),
+    (("signs", "-A", "{1,2,5}", "-k", "2", "-N", "120", "--detect", "10,30"),
+     "f49f7fd03b42207264effa9c497bc284b33a08842cb680649e8cea78e56e3c94"),
+], ids=["consistent", "no-period", "construct", "raw-word", "raw-no-period"])
 def test_json_reports_keep_their_bytes(capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
@@ -757,7 +763,7 @@ def test_usage_errors(capsys):
 def _failed_identities(spec, upto):
     results = dict.fromkeys(compositions.IDENTITY_NAMES)
     results["delta_q"] = compositions.IdentityFailure("delta_q", 3, 1)
-    return compositions.IdentityReport(spec, upto, "eval", results)
+    return compositions.IdentityReport(results)
 
 
 # one row per line that reports a failed check: a library check patched to
@@ -768,7 +774,7 @@ _FAILED_CHECKS = {
         "verify --suite section2 -A {1,2,5} -N 60", "delta_q: FAIL at n=3, coefficient 1"),
     "prop33": (
         signs, "check_range_set_pattern",
-        lambda m, upto: signs.PatternCheck(m, upto, False, 5, signs.SignWord((1,)), (1,)),
+        lambda m, upto: signs.PatternCheck(m, upto, False, 5, (1,)),
         "verify --suite prop33 -m 4 -N 200", "range set 1..4 n <= 200: FAIL first mismatch n=5"),
     "thm34-identity": (
         explorer, "verify_cofinite_even_complement",

@@ -207,7 +207,7 @@ def _read_off(chk, polys, odd_polys=None):
     """Run chk on the polynomial tables polys (and odd_polys, if given):
     the coefficient checks read them, and check_eval's value tables are
     their values."""
-    chk._table = CompPolyTable(chk.spec, chk.upto, tuple(polys))
+    chk._table = CompPolyTable(tuple(polys))
     if odd_polys is not None:
         chk._odd_polys = tuple(odd_polys)
     real = compositions.sk_rows

@@ -163,8 +163,9 @@ def test_pruned_scan_matches_reference(n, horizon):
 def test_enumeration_json_and_csv():
     res = enumerate_F(3, 12)
     chunks = []
-    enumeration_json(res, chunks.append, "compsigns/1")
+    enumeration_json(res, chunks.append)
     blob = json.loads("".join(chunks))
+    assert blob["schema"] == "compsigns/1"
     assert blob["count"] == res.count
     assert blob["verdicts"][3]["members"] == [1, 2]
     assert blob["verdicts"][3]["first_violation"] == 3
@@ -181,9 +182,9 @@ def test_writers_stream_in_bounded_chunks():
     # neither document is ever handed to write whole
     res = enumerate_F(14, 56)
     sizes = []
-    for writer, extra in ((enumeration_json, ("compsigns/1",)), (verdicts_csv, ())):
+    for writer in (enumeration_json, verdicts_csv):
         before = len(sizes)
-        writer(res, lambda text: sizes.append(len(text)), *extra)
+        writer(res, lambda text: sizes.append(len(text)))
         assert len(sizes) - before > 2
     assert max(sizes) <= 1 << 20
 

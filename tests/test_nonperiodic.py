@@ -46,7 +46,7 @@ from compsigns.poly import (
     yun_squarefree,
 )
 from compsigns.sets import SpecError, explicit, parse_spec
-from compsigns.signs import NO_PERIOD, SignWord, detect_period
+from compsigns.signs import NO_PERIOD, detect_period
 from compsigns.sums import sk_fast
 
 P23 = IntPoly((1, 0, 1, 1))
@@ -67,27 +67,27 @@ def test_denom_poly_rejects_infinite():
 
 
 def test_roots_linear():
-    prof = roots_numeric(IntPoly((1, -1)))
-    assert len(prof.roots) == 1
-    root = prof.roots[0]
+    roots = roots_numeric(IntPoly((1, -1)))
+    assert len(roots) == 1
+    root = roots[0]
     assert root.value == 1
     assert root.multiplicity == 1
     assert root.residual_bound == 0
 
 
 def test_roots_pure_imaginary_pair():
-    prof = roots_numeric(IntPoly((1, 0, 1)))
-    vals = sorted((r.value for r in prof.roots), key=lambda z: z.imag)
+    roots = roots_numeric(IntPoly((1, 0, 1)))
+    vals = sorted((r.value for r in roots), key=lambda z: z.imag)
     assert abs(as_mpmath(vals[0]) - mp.mpc(0, -1)) < mp.mpf(2) ** -100
     assert vals[0] == vals[1].conjugate()
 
 
 def test_roots_p23_anchor_values():
     # real root near -1.4656, pair near 0.2328 +- 0.7926i
-    prof = roots_numeric(P23)
-    assert prof.degree == 3
-    reals = [as_mpmath(r.value) for r in prof.roots if r.value.imag == 0]
-    pairs = [as_mpmath(r.value) for r in prof.roots if r.value.imag > 0]
+    roots = roots_numeric(P23)
+    assert sum(r.multiplicity for r in roots) == 3
+    reals = [as_mpmath(r.value) for r in roots if r.value.imag == 0]
+    pairs = [as_mpmath(r.value) for r in roots if r.value.imag > 0]
     assert len(reals) == 1 and len(pairs) == 1
     assert abs(reals[0] - mp.mpf("-1.4656")) < 5e-5
     assert abs(pairs[0].real - mp.mpf("0.2328")) < 5e-5
@@ -95,9 +95,9 @@ def test_roots_p23_anchor_values():
 
 
 def test_roots_multiplicity_from_square():
-    prof = roots_numeric(P23 * P23)
-    assert prof.degree == 6
-    assert sorted(r.multiplicity for r in prof.roots) == [2, 2, 2]
+    roots = roots_numeric(P23 * P23)
+    assert sum(r.multiplicity for r in roots) == 6
+    assert sorted(r.multiplicity for r in roots) == [2, 2, 2]
 
 
 def test_roots_residual_invariant_random():
@@ -108,15 +108,15 @@ def test_roots_residual_invariant_random():
         while coeffs[-1] == 0:
             coeffs[-1] = rng.randint(-3, 3)
         p = IntPoly(tuple(coeffs))
-        prof = roots_numeric(p)
-        assert prof.degree == p.degree
+        roots = roots_numeric(p)
+        assert sum(r.multiplicity for r in roots) == p.degree
         tol = mp.mpf(2) ** -128
-        # conjugation must run at the profile precision: mpmath rounds
+        # conjugation must run at the roots' precision: mpmath rounds
         # every operation, even negation, to the ambient precision
-        with mp.workprec(prof.precision):
-            values = [as_mpmath(r.value) for r in prof.roots]
+        with mp.workprec(nonperiodic.PRECISION):
+            values = [as_mpmath(r.value) for r in roots]
             pairs = {(z.real, z.imag) for z in values}
-            for r, z in zip(prof.roots, values):
+            for r, z in zip(roots, values):
                 assert as_mpmath(r.residual_bound) <= tol * (1 + abs(z)) ** p.degree
                 assert (z.real, -z.imag) in pairs
 
@@ -143,17 +143,17 @@ def _check_roots(p, precision):
     over the other roots of (1 + |s|)^m, so the rebuild is held to
     deg p * 2^(16-precision) * |lead| * prod (1 + |r|)^m.
     """
-    prof = roots_numeric(p, precision)
-    assert prof.degree == p.degree
-    values = [as_mpmath(r.value) for r in prof.roots]
+    roots = roots_numeric(p, precision)
+    assert sum(r.multiplicity for r in roots) == p.degree
+    values = [as_mpmath(r.value) for r in roots]
     with mp.workprec(precision):
-        seen = {(z.real, z.imag, r.multiplicity) for z, r in zip(values, prof.roots)}
-        for z, r in zip(values, prof.roots):
+        seen = {(z.real, z.imag, r.multiplicity) for z, r in zip(values, roots)}
+        for z, r in zip(values, roots):
             assert (z.real, -z.imag, r.multiplicity) in seen
     with mp.workprec(2 * precision):
         rebuilt = [mp.mpc(p.lead)]
         scale = mp.mpf(abs(p.lead))
-        for z, r in zip(values, prof.roots):
+        for z, r in zip(values, roots):
             for _ in range(r.multiplicity):
                 rebuilt = [b - z * a for a, b in zip(rebuilt + [0], [0] + rebuilt)]
                 scale *= 1 + abs(z)
@@ -161,7 +161,7 @@ def _check_roots(p, precision):
         assert len(rebuilt) == len(p.coeffs)
         for got, want in zip(rebuilt, p.coeffs):
             assert abs(got - want) <= bound
-    return prof
+    return roots
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -194,9 +194,9 @@ def test_roots_cluster_too_tight_for_doubles(monkeypatch):
     # from where the double pass ended, separates them
     passes = _record_passes(monkeypatch)
     p = IntPoly((1,) + (0,) * 11 + (-50, 20, -2))
-    prof = _check_roots(p, 256)
+    roots = _check_roots(p, 256)
     assert passes == [(complex, False), (Complex, True)]
-    near = sorted((as_mpmath(r.value) for r in prof.roots), key=lambda z: abs(z - 5))[:2]
+    near = sorted((as_mpmath(r.value) for r in roots), key=lambda z: abs(z - 5))[:2]
     assert 8e-5 < abs(near[0] - near[1]) < 1e-4
 
 
@@ -206,18 +206,18 @@ def test_roots_coefficient_too_large_for_a_double(monkeypatch):
     # reach far below 10^-400
     passes = _record_passes(monkeypatch)
     p = IntPoly((1, 10**400)) * P23
-    prof = _check_roots(p, 2048)
+    roots = _check_roots(p, 2048)
     assert passes == [(Complex, True)]
     with mp.workprec(2048):
         tiny = mp.mpf(10) ** -400
-        assert any(abs(as_mpmath(r.value) + tiny) < tiny * 2.0**-1000 for r in prof.roots)
+        assert any(abs(as_mpmath(r.value) + tiny) < tiny * 2.0**-1000 for r in roots)
     # the seeds' radius may differ from mpmath's in its last bit on this
     # path; the roots, in the report's 32 digits, are mpmath's own
     with mp.workprec(2400):
         want = mp.polyroots(p.coeffs[::-1], maxsteps=200, extraprec=2400)
         want = [mp.chop(z, tol=mp.mpf(10) ** -1000) for z in want]
     want = sorted((mp.nstr(mp.re(z), 32), mp.nstr(mp.im(z), 32)) for z in want)
-    got = sorted((r.value.real.nstr(32), r.value.imag.nstr(32)) for r in prof.roots)
+    got = sorted((r.value.real.nstr(32), r.value.imag.nstr(32)) for r in roots)
     assert got == want
 
 
@@ -239,9 +239,9 @@ def test_certificates_past_the_double_range(coeffs):
 def test_roots_far_inside_cauchy_bound():
     # 1 + 10^300 x^30: Cauchy's bound is 2, the roots have modulus 1e-10;
     # seeds on that scale (Fujiwara's bound) reach them within the budget
-    prof = _check_roots(IntPoly((1,) + (0,) * 29 + (10**300,)), 256)
+    roots = _check_roots(IntPoly((1,) + (0,) * 29 + (10**300,)), 256)
     with mp.workprec(256):
-        for r in prof.roots:
+        for r in roots:
             assert abs(abs(as_mpmath(r.value)) / mp.mpf("1e-10") - 1) < mp.mpf(2) ** -200
 
 
@@ -445,17 +445,17 @@ def test_root_degree_cap_refuses_before_any_root_is_sought(monkeypatch):
     rep = check_set_nonperiodic(parse_spec("{1,4}"), exact=True)
     assert rep.verdict == INCONCLUSIVE
     assert rep.reasons == (nonperiodic.REASON_DEGREE,)
-    assert rep.profile is None and rep.exact_test is None
+    assert rep.roots is None and rep.exact_test is None
 
 
 def test_ratio_poly_vanishes_on_root_ratios():
     r = ratio_poly(P23)
     assert r(1) == 0
-    prof = roots_numeric(P23)
+    roots = roots_numeric(P23)
     with mp.workprec(200):
         coeffs = [mp.mpc(c) for c in r.coeffs]
-        for a in prof.roots:
-            for b in prof.roots:
+        for a in roots:
+            for b in roots:
                 x = as_mpmath(a.value) / as_mpmath(b.value)
                 val = sum(c * x**i for i, c in enumerate(coeffs))
                 assert abs(val) < mp.mpf(2) ** -80
@@ -540,8 +540,8 @@ def test_exact_unity_screen_matches_oracle_screen(p, checked, divisor):
     assert (got.orders_checked, got.divisor_order) == (checked, divisor)
 
 
-def _reciprocal_signs(p: IntPoly, order: int) -> SignWord:
-    return SignWord(tuple((c > 0) - (c < 0) for c in series_inv_int(list(p.coeffs), order)))
+def _reciprocal_signs(p: IntPoly, order: int) -> tuple[int, ...]:
+    return tuple((c > 0) - (c < 0) for c in series_inv_int(list(p.coeffs), order))
 
 
 def test_reciprocal_prefix_geometric():

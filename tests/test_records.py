@@ -25,7 +25,6 @@ from compsigns.nonperiodic import (
     ExactUnityTest,
     NonPeriodicityReport,
     Root,
-    RootProfile,
     ZetaTest,
 )
 from compsigns.poly import IntPoly, RatSeries
@@ -35,13 +34,11 @@ from compsigns.signs import (
     OddSetCheck,
     PatternCheck,
     PeriodFinding,
-    SignWord,
 )
 from compsigns.sums import SkGrid
 
 S = SetSpec("explicit", (1, 2), 50)
 P = IntPoly((1, 1, 1))
-W = SignWord((1, 0, -1), S, 0, True)
 F = PeriodFinding(0, 3, (1, 0, -1), "ConsistentAtHorizon")
 
 # every field of every record class, in declaration order, with values
@@ -50,13 +47,12 @@ SAMPLES = {
     SetSpec: dict(kind="range", data=(4,), horizon=30),
     IntPoly: dict(coeffs=(1, -2, 3)),
     RatSeries: dict(coeffs=(Fraction(1), Fraction(-1, 2))),
-    CompPolyTable: dict(set=S, upto=1, polys=(IntPoly((1,)), IntPoly((0, 1)))),
+    CompPolyTable: dict(polys=(IntPoly((1,)), IntPoly((0, 1)))),
     IdentityFailure: dict(identity="parity", n=4, coeff_index=2),
-    IdentityReport: dict(set=S, upto=9, method="eval", results={"parity": None}),
-    SkGrid: dict(set=S, K=0, N=2, values=((1, -1, 2),)),
-    SignWord: dict(symbols=(1, -1), set=S, k=2, normalized=False),
+    IdentityReport: dict(results={"parity": None}),
+    SkGrid: dict(K=0, N=2, values=((1, -1, 2),)),
     PeriodFinding: dict(preperiod=1, period=2, pattern=(1, 0), verdict="ConsistentAtHorizon"),
-    PatternCheck: dict(m=3, upto=6, passed=True, first_mismatch=None, word=W,
+    PatternCheck: dict(m=3, upto=6, passed=True, first_mismatch=None,
                        expected_block=(1, 0, -1)),
     OddSetCheck: dict(set=S, upto=20, k_max=2, count_identity_mismatch=None,
                       negative_at=(1, 5), passed=False),
@@ -67,22 +63,20 @@ SAMPLES = {
                             note="x"),
     RepunitProbe: dict(m=4, horizon=100, members=(1, 4, 5), first_violation=None, note="z"),
     Root: dict(value=0.5 + 1j, multiplicity=1, residual_bound=1e-30),
-    RootProfile: dict(poly=P, precision=64, roots=()),
     DominantInfo: dict(root=0.5 + 1j, modulus=1.25, multiplicity=1, relative_gap=0.1),
     ZetaTest: dict(degree_bound=4, orders_checked=9, min_distance=0.3, min_at_order=6),
     ExactUnityTest: dict(ratio_degree=4, orders_checked=9, divisor_order=None),
     NonPeriodicityReport: dict(poly=P, exact=True, verdict="Inconclusive", reasons=("r",),
-                               profile=None, dominant=None, zeta_test=None,
+                               roots=None, dominant=None, zeta_test=None,
                                exact_test=None, notes=("n",)),
 }
 
 DEFAULTS = {
     SetSpec: dict(horizon=1000),
     IntPoly: dict(coeffs=()),
-    SignWord: dict(set=None, k=0, normalized=True),
     EnumerationResult: dict(note=HORIZON_NOTE),
     RepunitProbe: dict(note=HORIZON_NOTE),
-    NonPeriodicityReport: dict(profile=None, dominant=None, zeta_test=None,
+    NonPeriodicityReport: dict(roots=None, dominant=None, zeta_test=None,
                                exact_test=None, notes=()),
 }
 
@@ -90,7 +84,6 @@ DEFAULTS = {
 REFUSED = {
     SetSpec: (dict(kind="bogus"), SpecError),
     RatSeries: (dict(coeffs=()), ValueError),
-    SignWord: (dict(symbols=()), ValueError),
 }
 
 # every record class in the package, so that a new one without a sample fails
@@ -166,14 +159,17 @@ def test_to_json_maps_each_field_by_its_rules():
         "set": {"kind": "explicit", "data": [1, 2], "horizon": 50},
         "upto": 20, "k_max": 2, "count_identity_mismatch": None,
         "negative_at": [1, 5], "passed": False}
-    assert SkGrid(S, 0, 2, ((1, -1, 2),)).to_json()["values"] == [[1, -1, 2]]
+    assert SkGrid(0, 2, ((1, -1, 2),)).to_json()["values"] == [[1, -1, 2]]
     # the overrides: a Complex spreads into re and im, a pattern prints
     # as a word does
     root = Root(Complex.of(0.5 + 1j, 256), 2, tenth)
     half, one = Real.of(0.5, 256).nstr(32), Real.of(1, 256).nstr(32)
     assert root.to_json() == {"re": half, "im": one, "multiplicity": 2,
                               "residual_bound": tenth.nstr(32)}
-    assert RootProfile(P, 64, (root,)).to_json()["roots"] == [root.to_json()]
+    # the report's roots print through the generic path, a tuple of records
+    assert NonPeriodicityReport(P, False, "Inconclusive", (), (root,)).to_json()["roots"] == [
+        root.to_json()]
+    assert NonPeriodicityReport(P, False, "Inconclusive", ()).to_json()["roots"] is None
     assert F.to_json() == {"preperiod": 0, "period": 3, "pattern": "+0-",
                            "verdict": "ConsistentAtHorizon"}
     assert PeriodFinding(None, None, None, "NoPeriodFound").to_json()["pattern"] is None

@@ -9,12 +9,12 @@ from compsigns.signs import (
     NO_PERIOD,
     ConjectureCheck,
     PeriodFinding,
-    SignWord,
     check_even_range_conjecture,
     check_odd_set,
     check_range_set_pattern,
     detect_period,
     range_block,
+    render,
     sign_word,
 )
 from compsigns.sets import SpecError, parse_spec
@@ -27,27 +27,20 @@ def word_of(text, k, upto, normalized=True):
 
 
 def test_sign_word_anchors():
-    assert word_of("{1,2,3}", 0, 7).symbols == (1, 1, 0, 0, 1, 1, 0, 0)
-    assert word_of("{1,2}", 0, 5).symbols == (1, 1, 0, -1, -1, 0)
-    assert word_of("{1}", 0, 9).symbols == (1,) * 10
-    raw = word_of("{1}", 0, 5, normalized=False)
-    assert raw.symbols == (1, -1, 1, -1, 1, -1)
-    assert raw.normalized is False
+    assert word_of("{1,2,3}", 0, 7) == (1, 1, 0, 0, 1, 1, 0, 0)
+    assert word_of("{1,2}", 0, 5) == (1, 1, 0, -1, -1, 0)
+    assert word_of("{1}", 0, 9) == (1,) * 10
+    assert word_of("{1}", 0, 5, normalized=False) == (1, -1, 1, -1, 1, -1)
 
 
 def test_sign_word_render_and_validation():
-    w = word_of("{1,2}", 0, 5)
-    assert w.render() == "++0--0"
-    with pytest.raises(ValueError):
-        SignWord(())
-    with pytest.raises(ValueError):
-        SignWord((1, 2))
+    assert render(word_of("{1,2}", 0, 5)) == "++0--0"
     with pytest.raises(ValueError):
         sign_word(sk_fast(parse_spec("{1}"), 1, 5), 2)
 
 
 def test_detect_period_basics():
-    const = SignWord((1,) * 20)
+    const = (1,) * 20
     got = detect_period(const, 5, 5)
     assert (got.preperiod, got.period) == (0, 1)
     assert got.pattern == (1,)
@@ -60,22 +53,22 @@ def test_detect_period_basics():
 
 def test_detect_period_preperiod_and_tiebreak():
     # 1,0,-1,0,-1,... : period 2 after dropping the first symbol
-    w = SignWord((1, 0, -1, 0, -1, 0, -1))
+    w = (1, 0, -1, 0, -1, 0, -1)
     got = detect_period(w, 1, 3)
     assert (got.preperiod, got.period) == (1, 2)
     assert got.pattern == (0, -1)
     # 1,1,0,1,0,1,0,1 : (1,2) beats any longer period at the same preperiod
-    w2 = SignWord((1, 1, 0, 1, 0, 1, 0, 1))
+    w2 = (1, 1, 0, 1, 0, 1, 0, 1)
     got2 = detect_period(w2, 3, 2)
     assert (got2.preperiod, got2.period) == (1, 2)
     # leading zero never repeated forces preperiod 1
-    w3 = SignWord((0,) + (1,) * 30)
+    w3 = (0,) + (1,) * 30
     got3 = detect_period(w3, 4, 6)
     assert (got3.preperiod, got3.period) == (1, 1)
 
 
 def test_detect_period_bounds_checking():
-    w = SignWord((1, 0) * 10)
+    w = (1, 0) * 10
     with pytest.raises(ValueError):
         detect_period(w, 11, 5)  # 11 + 10 > 20
     with pytest.raises(ValueError):
@@ -92,7 +85,7 @@ def test_detect_period_no_period():
     while i * i < length:
         syms[i * i] = 1
         i += 1
-    got = detect_period(SignWord(tuple(syms)), 40, 100)
+    got = detect_period(tuple(syms), 40, 100)
     assert got.verdict == NO_PERIOD
     assert got.preperiod is None and got.period is None and got.pattern is None
 
@@ -106,7 +99,7 @@ def test_detect_period_recovers_synthesized():
         length = p + 4 * t + rng.randint(0, 5)
         syms = [rng.choice((-1, 0, 1)) for _ in range(p)]
         syms += [pattern[(n - p) % t] for n in range(p, length)]
-        got = detect_period(SignWord(tuple(syms)), p, t)
+        got = detect_period(tuple(syms), p, t)
         assert got.verdict == CONSISTENT
         assert got.preperiod <= p
         assert t % got.period == 0
@@ -115,10 +108,10 @@ def test_detect_period_recovers_synthesized():
 
 
 def test_period_finding_json():
-    got = detect_period(SignWord((1, 1, 0, -1) * 5), 0, 4).to_json()
+    got = detect_period((1, 1, 0, -1) * 5, 0, 4).to_json()
     assert got == {"preperiod": 0, "period": 4, "pattern": "++0-",
                    "verdict": CONSISTENT}
-    none = detect_period(SignWord(tuple([0] * 9 + [1] + [0] * 30)), 2, 3)
+    none = detect_period(tuple([0] * 9 + [1] + [0] * 30), 2, 3)
     assert none.to_json()["pattern"] is None
 
 
@@ -143,7 +136,7 @@ def test_check_range_set_pattern():
     for m in (3, 5):
         grid = sk_fast(parse_spec(f"1..{m}@100"), 4, 100)
         for k in range(5):
-            assert -1 not in sign_word(grid, k).symbols
+            assert -1 not in sign_word(grid, k)
 
 
 def test_check_odd_set():

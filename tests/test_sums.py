@@ -96,7 +96,7 @@ def test_integrality_guard_fires_on_corrupt_base(monkeypatch):
     from compsigns.sums import SkGrid
 
     spec = parse_spec("{2}")
-    fake = SkGrid(spec, 0, 3, ((1, 0, -1, 1),))  # true S_0(3) is 0, not 1
+    fake = SkGrid(0, 3, ((1, 0, -1, 1),))  # true S_0(3) is 0, not 1
     monkeypatch.setattr(sums_mod, "sk_fast", lambda s, k, n: fake)
     with pytest.raises(IntegralityError):
         sums_mod.sk_via_q(spec, 1, 3)
